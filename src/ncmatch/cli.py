@@ -233,7 +233,7 @@ def cmd_subeig(args) -> int:
     try:
         num, den = args.epsilon.split("/") if "/" in args.epsilon else (args.epsilon, "1")
         eps = Fraction(int(num), int(den))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad epsilon {args.epsilon!r}: {exc}") from exc
     sys_r = corners.extract_band(args.r)
     resc = spectral.rescale(sys_r)

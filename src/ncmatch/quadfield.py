@@ -1,20 +1,29 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(d)).
 
 A :class:`QuadNumber` stores a value (a + b*sqrt(d)) / c with integer a, b, c
-and a nonnegative integer radicand d.  The representation is canonical:
-c > 0, gcd(a, b, c) = 1, square factors are pulled out of d, and purely
-rational values are stored with b = 0, d = 1.  Comparisons are exact (no
-floating point); the total order is decided by at most one certified
-square-root comparison.
+and a nonnegative integer radicand d.  The stored form is reduced: c > 0,
+gcd(a, b, c) = 1, and purely rational values are stored with b = 0, d = 1.
 
-Mixing two irrational radicands in one operation is an error; rationals
-combine with any radicand.
+Radicands are split once, where they enter from outside: the public
+constructor ``QuadNumber(a, b, c, d)`` and ``sqrt_of`` pull square factors
+out of d (``_squarefree_split``).  Arithmetic results are members of the
+operands' field and reuse their already-split radicand through the private
+constructor ``_make``, which only fixes the sign of c and divides out
+gcd(a, b, c).  Two numbers of one field whose radicands were split to
+different values (a square factor above the small-prime limit) are put
+over a common radicand by ``_common_d``; ``==`` and ``hash`` depend only on
+the value.  Mixing two different fields in one operation is an error;
+rationals combine with any radicand.
+
+Every decision is exact integer arithmetic: comparisons decide the sign by
+at most one square comparison, and ``floor`` uses an integer square root.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 from typing import Union
 
 _Rational = Union[int, Fraction]
@@ -22,23 +31,44 @@ _Rational = Union[int, Fraction]
 _SMALL_PRIMES_LIMIT = 20_000
 
 
+def _prime_blocks(n: int) -> tuple[int, ...]:
+    """Products of the primes up to n, 256 consecutive primes each."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    primes = list(compress(range(n + 1), sieve))
+    return tuple(prod(primes[i : i + 256]) for i in range(0, len(primes), 256))
+
+
+_SMALL_PRIME_BLOCKS = _prime_blocks(_SMALL_PRIMES_LIMIT)
+
+
 def _squarefree_split(d: int) -> tuple[int, int]:
     """Return (f, d0) with d = f*f*d0 and d0 free of small square factors.
 
-    Square factors with prime part above _SMALL_PRIMES_LIMIT are only
-    detected when the remainder is a perfect square; this keeps the split
-    cheap and is canonical as long as all values in a computation come from
-    the same discriminant.
+    Per block of small primes (up to _SMALL_PRIMES_LIMIT), gcds find the
+    product s of the block's primes that divide d at least twice, and s*s
+    is taken out until no square is left.  Square factors with prime part
+    above the limit are only detected when the remainder is a perfect
+    square, which keeps the split cheap.  So one field can be reached
+    through two radicands, e.g. 3 * 20011**2 and 3; values stay exact
+    regardless, because ``_common_d`` reconciles such radicands and
+    ``QuadNumber.__hash__`` does not depend on which one a value carries.
     """
     if d in (0, 1):
         return 1, d
     f = 1
-    p = 2
-    while p * p <= d and p <= _SMALL_PRIMES_LIMIT:
-        while d % (p * p) == 0:
-            d //= p * p
-            f *= p
-        p += 1 if p == 2 else 2
+    for block in _SMALL_PRIME_BLOCKS:
+        g = gcd(d, block)  # the block's primes dividing d
+        while g != 1:
+            s = gcd(d // g, g)  # ... at least twice
+            if s == 1:
+                break
+            d //= s * s
+            f *= s
+            g = gcd(d, g)
     root = isqrt(d)
     if root * root == d:
         return f * root, 1
@@ -61,20 +91,7 @@ class QuadNumber:
         if d0 <= 1:
             a += b * d0  # d0 == 1 folds the root into the rational part
             b = 0
-            d0 = 1
-        if b == 0:
-            d0 = 1
-        if c < 0:
-            a, b, c = -a, -b, -c
-        g = gcd(gcd(abs(a), abs(b)), c)
-        if g > 1:
-            a //= g
-            b //= g
-            c //= g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d0)
+        _fill(self, a, b, c, d0)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("QuadNumber is immutable")
@@ -83,8 +100,9 @@ class QuadNumber:
 
     @staticmethod
     def from_rational(q: _Rational) -> "QuadNumber":
-        q = Fraction(q)
-        return QuadNumber(q.numerator, 0, q.denominator, 1)
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return _rational(q)
 
     @staticmethod
     def sqrt_of(d: int) -> "QuadNumber":
@@ -113,65 +131,63 @@ class QuadNumber:
         if isinstance(value, QuadNumber):
             return value
         if isinstance(value, (int, Fraction)):
-            return QuadNumber.from_rational(value)
+            return _rational(value)
         return NotImplemented
-
-    def _common_d(self, other: "QuadNumber") -> int:
-        if self.b == 0:
-            return other.d
-        if other.b == 0:
-            return self.d
-        if self.d != other.d:
-            raise ValueError(f"incompatible radicands {self.d} and {other.d}")
-        return self.d
 
     # -- arithmetic ----------------------------------------------------------------
 
     def __add__(self, other):
-        other = QuadNumber._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self._common_d(other)
-        return QuadNumber(
-            self.a * other.c + other.a * self.c,
-            self.b * other.c + other.b * self.c,
-            self.c * other.c,
-            d,
-        )
+        if type(other) is not QuadNumber:
+            other = QuadNumber._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        sb, ob, d = self.b, other.b, self.d
+        if other.d != d:
+            sb, ob, d = _common_d(self, other)
+        sc, oc = self.c, other.c
+        return _make(self.a * oc + other.a * sc, sb * oc + ob * sc, sc * oc, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadNumber(-self.a, -self.b, self.c, self.d)
+        return _make(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other):
-        other = QuadNumber._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not QuadNumber:
+            other = QuadNumber._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        sb, ob, d = self.b, other.b, self.d
+        if other.d != d:
+            sb, ob, d = _common_d(self, other)
+        sc, oc = self.c, other.c
+        return _make(self.a * oc - other.a * sc, sb * oc - ob * sc, sc * oc, d)
 
     def __rsub__(self, other):
         other = QuadNumber._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
-        other = QuadNumber._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self._common_d(other)
-        a = self.a * other.a + self.b * other.b * d
-        b = self.a * other.b + self.b * other.a
-        return QuadNumber(a, b, self.c * other.c, d)
+        if type(other) is not QuadNumber:
+            other = QuadNumber._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        sb, ob, d = self.b, other.b, self.d
+        if other.d != d:
+            sb, ob, d = _common_d(self, other)
+        sa, oa = self.a, other.a
+        return _make(sa * oa + sb * ob * d, sa * ob + sb * oa, self.c * other.c, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadNumber":
-        norm = self.a * self.a - self.b * self.b * self.d
+        a, b, d = self.a, self.b, self.d
+        norm = a * a - b * b * d
         if norm == 0:
             raise ZeroDivisionError("division by zero")
-        return QuadNumber(self.c * self.a, -self.c * self.b, norm, self.d)
+        return _make(self.c * a, -self.c * b, norm, d)
 
     def __truediv__(self, other):
         other = QuadNumber._coerce(other)
@@ -190,7 +206,7 @@ class QuadNumber:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadNumber(1)
+        result = _make(1, 0, 1, 1)
         base = self
         while exponent:
             if exponent & 1:
@@ -245,9 +261,13 @@ class QuadNumber:
         return c >= 0 if c is not NotImplemented else NotImplemented
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(Fraction(self.a, self.c))
-        return hash((self.a, self.b, self.c, self.d))
+        a, b, c = self.a, self.b, self.c
+        if b == 0:
+            return hash(Fraction(a, c))
+        # a/c, b*b*d/(c*c) and the sign of b do not change when b*f and
+        # d/f**2 stand in for b and d; fixed-point floors of the two
+        # quotients hash them without reducing fractions
+        return hash(((a << 32) // c, (b * b * self.d << 64) // (c * c), b > 0))
 
     def __bool__(self):
         return self.sign() != 0
@@ -258,15 +278,14 @@ class QuadNumber:
     # -- rounding / approximation ----------------------------------------------
 
     def floor(self) -> int:
-        """Exact floor, decided by certified comparisons."""
-        if self.is_rational:
-            return self.a // self.c
-        m = int(self.to_float())  # candidate, then fix up exactly
-        while (self - m).sign() < 0:
-            m -= 1
-        while (self - (m + 1)).sign() >= 0:
-            m += 1
-        return m
+        """Exact floor from an integer square root."""
+        a, b, c = self.a, self.b, self.c
+        if b == 0:
+            return a // c
+        # b*sqrt(d) is irrational, so it lies strictly between k and k + 1
+        # (b > 0) or -k - 1 and -k (b < 0), with k = isqrt(b*b*d)
+        k = isqrt(b * b * self.d)
+        return (a + k) // c if b > 0 else (a - k - 1) // c
 
     def ceil(self) -> int:
         return -((-self).floor())
@@ -294,3 +313,59 @@ class QuadNumber:
         if self.is_rational:
             return f"QuadNumber({self.a}/{self.c})" if self.c != 1 else f"QuadNumber({self.a})"
         return f"QuadNumber(({self.a} + {self.b}*sqrt({self.d}))/{self.c})"
+
+
+_new = object.__new__
+_set_a = QuadNumber.a.__set__
+_set_b = QuadNumber.b.__set__
+_set_c = QuadNumber.c.__set__
+_set_d = QuadNumber.d.__set__
+
+
+def _fill(x: QuadNumber, a: int, b: int, c: int, d: int) -> None:
+    """Store (a + b*sqrt(d))/c in reduced form; c != 0, d already split."""
+    if c < 0:
+        a, b, c = -a, -b, -c
+    g = gcd(a, b, c)
+    if g != 1:
+        a //= g
+        b //= g
+        c //= g
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_c(x, c)
+    _set_d(x, d if b else 1)
+
+
+def _make(a: int, b: int, c: int, d: int) -> QuadNumber:
+    """Private constructor for arithmetic results: the radicand d is one the
+    operands already carry, so it is not split again and nothing is checked."""
+    x = _new(QuadNumber)
+    _fill(x, a, b, c, d)
+    return x
+
+
+def _rational(q: _Rational) -> QuadNumber:
+    if isinstance(q, int):
+        return _make(int(q), 0, 1, 1)  # int() turns a bool into 0 or 1
+    return _make(q.numerator, 0, q.denominator, 1)
+
+
+def _common_d(x: QuadNumber, y: QuadNumber) -> tuple[int, int, int]:
+    """(x's b, y's b, d): both irrational parts over one radicand d.
+
+    Reached only when the radicands differ.  Two irrational radicands d1, d2
+    lie in one field exactly when d1*d2 is a perfect square; then
+    g = gcd(d1, d2) divides both with square quotients, and sqrt(di) equals
+    isqrt(di // g) * sqrt(g).
+    """
+    if x.b == 0:
+        return 0, y.b, y.d
+    if y.b == 0:
+        return x.b, 0, x.d
+    d1, d2 = x.d, y.d
+    both = d1 * d2
+    if isqrt(both) ** 2 != both:
+        raise ValueError(f"incompatible radicands {d1} and {d2}")
+    g = gcd(d1, d2)
+    return x.b * isqrt(d1 // g), y.b * isqrt(d2 // g), g

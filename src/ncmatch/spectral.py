@@ -167,7 +167,7 @@ def shift_constant(resc: RescaledSystem) -> QuadNumber:
     return first
 
 
-def _profile_x(resc, delta, p, s, i) -> QuadNumber:
+def _profile_x(resc, p, s, i) -> QuadNumber:
     t = i - s if isinstance(i, QuadNumber) else _Q(i) - s
     return resc.pi[0] * (p - t * t)
 
@@ -198,7 +198,7 @@ def residual_constants(
     qx = qy = None
     for i, p, s in probes:
         pq, sq = _Q(p), _Q(s)
-        hx = lambda j: _profile_x(resc, delta, pq, sq, j)
+        hx = lambda j: _profile_x(resc, pq, sq, j)
         hy = lambda j: _profile_y(resc, delta, pq, sq, j)
         acc_x = resc.m * hx(i)
         acc_y = resc.m * hy(i)
@@ -242,7 +242,7 @@ class SubEigenCertificate:
     support_y: tuple[int, int]
 
     def xbar(self, resc: RescaledSystem, i: int) -> QuadNumber:
-        v = _profile_x(resc, self.delta, self.p, self.s, i)
+        v = _profile_x(resc, self.p, self.s, i)
         return v if v.sign() > 0 else _Q(0)
 
     def ybar(self, resc: RescaledSystem, i: int) -> QuadNumber:
@@ -285,22 +285,26 @@ def gap_search(
     """
     if not (_Q(0) < delta < _Q(1)):
         raise ValueError("shift constant outside (0, 1) is not supported")
-    one = _Q(1)
-    # families: predecessor gap of value(m) is slope*m + offset
+    # per family, the root of value(m); every root is at least m
     families = [
-        (delta, lambda m: _Q(m) + delta),          # (m+delta)^2 over m^2-ish
-        (one - delta, lambda m: _Q(m + 1) - delta),  # (m+1-delta)^2
-        (one, lambda m: _Q(m)),                     # m^2
+        lambda m: _Q(m) + delta,      # (m+delta)^2 over m^2-ish
+        lambda m: _Q(m + 1) - delta,  # (m+1-delta)^2
+        _Q,                           # m^2
     ]
+    # Distinct roots j, j +- delta lie at least sigma apart, so the gap below
+    # root**2 is at least root**2 - (root - sigma)**2 >= sigma * root: every
+    # m >= need / sigma passes, which bounds the doubling.
+    sigma = min(v for v in (delta, 1 - delta, abs(1 - 2 * delta)) if v.sign() > 0)
+    ceiling = max(1, (need / sigma).ceil())
     best: tuple[QuadNumber, QuadNumber] | None = None
-    for _slope, root_of in families:
-        m = 1
+    for root_of in families:
+        lo = m = 1
         # coarse doubling then linear refinement keeps this exact and O(log)
         while not _gap_ok(delta, root_of(m), need):
-            m *= 2
-            if m > 1 << 60:
-                raise AssertionError("gap search runaway")
-        lo, hi = max(1, m // 2), m
+            if m >= ceiling:
+                raise AssertionError("gap search passed its proven ceiling")
+            lo, m = m, min(2 * m, ceiling)
+        hi = m
         while lo + 1 < hi:
             mid = (lo + hi) // 2
             if _gap_ok(delta, root_of(mid), need):

@@ -108,6 +108,13 @@ def test_subeig_bad_epsilon(capsys):
     assert code == 2
 
 
+def test_subeig_zero_denominator_epsilon_is_usage_error(capsys):
+    code, out, err = run(capsys, "subeig", "--r", "2", "--epsilon", "1/0")
+    assert code == 2
+    assert out == ""
+    assert "bad epsilon '1/0'" in err
+
+
 def test_verify_zigzag_report(capsys):
     code, out, _ = run(capsys, "verify", "--family", "zigzag", "--max-points", "9")
     assert code == 0

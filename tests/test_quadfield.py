@@ -102,3 +102,75 @@ def test_floor_matches_float_for_moderate_values(a, b, c):
     # exact bracketing
     assert (x - fl).sign() >= 0
     assert (x - (fl + 1)).sign() < 0
+
+
+# 20011 is the first prime above the split's small-prime limit, so the square
+# factor in 3 * 20011**2 stays inside the radicand.
+BIG_P = 20011
+
+
+def test_radicand_beyond_split_limit_equals_its_reduced_form():
+    wide = QuadNumber(0, 1, 1, BIG_P * BIG_P * 3)
+    narrow = QuadNumber(0, BIG_P, 1, 3)
+    assert wide.d == BIG_P * BIG_P * 3 and narrow.d == 3
+    assert wide == narrow
+    assert not wide != narrow
+    assert wide <= narrow and wide >= narrow
+    assert wide != QuadNumber(0, BIG_P + 1, 1, 3)
+    assert wide < QuadNumber(1, BIG_P, 1, 3)
+
+
+def test_hash_ignores_which_radicand_carries_the_value():
+    wide = QuadNumber(5, 1, 7, BIG_P * BIG_P * 3)
+    narrow = QuadNumber(5, BIG_P, 7, 3)
+    assert wide == narrow
+    assert hash(wide) == hash(narrow)
+    assert len({wide, narrow}) == 1
+    assert hash(QuadNumber(3, 0, 4)) == hash(Fraction(3, 4))
+
+
+def test_mixed_arithmetic_beyond_split_limit():
+    wide = QuadNumber(1, 1, 1, BIG_P * BIG_P * 3)  # 1 + 20011 sqrt 3
+    narrow = QuadNumber.sqrt_of(3)
+    assert (wide + narrow).as_tuple() == (1, BIG_P + 1, 1, 3)
+    assert (wide - narrow).as_tuple() == (1, BIG_P - 1, 1, 3)
+    assert (wide * narrow).as_tuple() == (3 * BIG_P, 1, 1, 3)
+    assert (wide / narrow) * narrow == wide
+    assert (narrow * narrow * BIG_P * BIG_P - wide * wide + 2 * wide) == 1
+    # both radicands keep a shared square factor: the gcd keeps it
+    assert QuadNumber.sqrt_of(BIG_P**2 * 3) * QuadNumber.sqrt_of(BIG_P**4 * 3) == 3 * BIG_P**3
+
+
+def test_different_fields_still_rejected_beyond_split_limit():
+    with pytest.raises(ValueError, match="incompatible radicands"):
+        QuadNumber.sqrt_of(BIG_P * BIG_P * 3) + QuadNumber.sqrt_of(2)
+    with pytest.raises(ValueError, match="incompatible radicands"):
+        QuadNumber.sqrt_of(BIG_P * BIG_P * 3) == QuadNumber.sqrt_of(BIG_P * BIG_P * 2)
+
+
+def test_floor_is_exact_far_beyond_float_precision():
+    big = 10**40
+    x = QuadNumber(big, 1, 1, 2)  # big + sqrt 2
+    assert x.floor() == big + 1
+    assert (-x).floor() == -big - 2
+    assert QuadNumber(2 * big + 1, -3, 2, 7).floor() == big - 4  # sqrt 63 = 7.93...
+
+
+_OPERAND = st.tuples(
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6),
+    st.integers(1, 10**4),
+    st.sampled_from([2, 7, 12, 18, 93, 69945633]),
+)
+
+
+@given(_OPERAND, _OPERAND, st.integers(-5, 5), st.fractions(max_denominator=50))
+def test_arithmetic_results_are_in_constructor_form(p1, p2, k, q):
+    x, y = QuadNumber(*p1), QuadNumber(*p2)
+    results = [-x, x.inverse() if x else x, x ** 3, x + k, k - x, x * q, q / x if x else x]
+    if x.d == y.d or x.b == 0 or y.b == 0:
+        results += [x + y, x - y, x * y]
+        if y:
+            results.append(x / y)
+    for res in results:
+        assert res.as_tuple() == QuadNumber(*res.as_tuple()).as_tuple()

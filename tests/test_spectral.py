@@ -165,6 +165,13 @@ class TestGapSearch:
         p, _, _ = gap_search(delta, Q(0))
         assert p <= 4
 
+    def test_huge_requirement_stays_below_derived_ceiling(self):
+        # far past any fixed doubling limit such as 2**60
+        need = Q(10**25)
+        p, root, gap = gap_search(QuadNumber(-1, 1, 1, 2), need)
+        assert root * root == p
+        assert gap >= need
+
 
 class TestCertificates:
     @pytest.mark.parametrize("r", [2, 8])
