@@ -63,6 +63,8 @@ from .chains import (
     excursions,
     growth_factor,
     runner_counts,
+    runner_series,
+    runner_step,
     transfer_matrix,
 )
 from .corners import (

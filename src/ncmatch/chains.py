@@ -25,6 +25,12 @@ P(u) = sum w_beta u^beta through its minimum P(tau), P'(tau) = 0.
 Replacing the arc factor C(r-i, floor((r-i)/2)) by a Catalan or Motzkin
 number counts perfect or arbitrary matchings instead of down-free ones; the
 same column sum then gives those growth factors.
+
+``runner_step`` evaluates rows below r from the windows and every later row,
+where the window is always full, as a Toeplitz band convolution
+(``_banded_step``, shared with the coupled corner recursion).
+``BandMatrix.apply`` stays an entry-by-entry evaluation, a second route
+that the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import add
 from typing import Iterable, Literal, Sequence
 
 from .doubling import catalan, motzkin
@@ -134,15 +141,46 @@ def runner_counts(r: int, k: int) -> list[int]:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    prefix = _parity_prefix(_arc_counts_cached(r, "down-free"))
     vec = [1]
     for _ in range(k):
-        vec = _apply_banded(vec, r, prefix)
+        vec = runner_step(vec, r)
     return vec
 
 
+def runner_series(r: int, kmax: int) -> list[list[int]]:
+    """[v_0, ..., v_kmax] of runner_counts, in one pass of the recursion."""
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    series = [[1]]
+    for _ in range(kmax):
+        series.append(runner_step(series[-1], r))
+    return series
+
+
+def runner_step(vec: Sequence[int], r: int) -> list[int]:
+    """One exact step v_{k-1} -> v_k; the support grows by r.
+
+    Row i sums the parity window |i-j| <= beta <= min(r, i+j) of the arc
+    counts.  From row r on every window reaches r, so rows below r are
+    evaluated from the windows and the rest is the stabilized Toeplitz band.
+    """
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    prefix, band = _runner_tables(r)
+    head = lambda stop: [_runner_rows(vec, r, prefix, stop)]
+    return _banded_step((vec,), ((band,),), head)[0]
+
+
+@lru_cache(maxsize=None)
+def _runner_tables(r: int) -> tuple[list[list[int]], tuple[int, ...]]:
+    """(parity prefix of the arc counts, stabilized band at offsets -r..r)."""
+    prefix = _parity_prefix(_arc_counts_cached(r, "down-free"))
+    band = tuple(prefix[q & 1][r + 1] - prefix[q & 1][q] for q in map(abs, range(-r, r + 1)))
+    return prefix, band
+
+
 def _parity_prefix(row: Sequence[int]) -> list[list[int]]:
-    """prefix[p][t] = sum of row[b] for b <= t with b = p (mod 2)."""
+    """prefix[p][t] = sum of row[b] for b < t with b = p (mod 2)."""
     out = [[0] * (len(row) + 1) for _ in range(2)]
     for p in range(2):
         acc = 0
@@ -153,10 +191,11 @@ def _parity_prefix(row: Sequence[int]) -> list[list[int]]:
     return out
 
 
-def _apply_banded(vec: Sequence[int], r: int, prefix) -> list[int]:
+def _runner_rows(vec: Sequence[int], r: int, prefix, stop: int) -> list[int]:
+    """Rows 0..stop-1 of one step, straight from the parity windows."""
     n = len(vec)
-    out = [0] * (n + r)
-    for i in range(n + r):
+    out = [0] * stop
+    for i in range(stop):
         acc = 0
         for j in range(max(0, i - r), min(n, i + r + 1)):
             v = vec[j]
@@ -168,6 +207,37 @@ def _apply_banded(vec: Sequence[int], r: int, prefix) -> list[int]:
             acc += (prefix[p][hi + 1] - prefix[p][q]) * v
         out[i] = acc
     return out
+
+
+def _banded_step(vecs, bands, head, rows: int | None = None) -> list[list[int]]:
+    """One exact step of a multi-state banded recursion of bandwidth r.
+
+    ``vecs`` are the input states, all of one length n.  ``bands[x][y]``
+    holds the 2r+1 stabilized coefficients of state x's response to state y
+    at offsets j - i = -r..r, exact for every row i >= r.  ``head(stop)``
+    evaluates rows 0..stop-1 of every state from the recursion's definition
+    and is called for the rows below r.  Every later row i is
+    sum_beta band[beta] * vec[i + beta], accumulated once per band offset
+    with C-level slice maps.  Returns one list per state of min(n + r, rows)
+    entries.
+    """
+    n = len(vecs[0])
+    r = len(bands[0][0]) // 2
+    size = n + r if rows is None else min(n + r, rows)
+    outs = head(min(r, size))
+    span = size - r
+    if span <= 0:
+        return outs
+    for out, row in zip(outs, bands):
+        tail = [0] * span
+        for vec, band in zip(vecs, row):
+            for beta, coef in enumerate(band, -r):
+                start = r + beta
+                m = min(span, n - start)
+                if coef and m > 0:
+                    tail[:m] = map(add, tail, map(coef.__mul__, vec[start : start + m]))
+        out += tail
+    return outs
 
 
 def excursions(mat: BandMatrix, k: int) -> int:

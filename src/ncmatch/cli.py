@@ -56,9 +56,8 @@ def _load_config(args) -> dict:
         return {}
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    threads = cfg.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise CliError("config: threads must be a positive integer")
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("caps", {}), dict):
+        raise CliError('config: expected a JSON object like {"caps": {"all": 18}}')
     return cfg
 
 
@@ -135,8 +134,8 @@ def cmd_recurse(args) -> int:
         else:
             header = ["k", "counts_by_runner"]
             table = [
-                [k, " ".join(map(str, chains.runner_counts(args.r, k)))]
-                for k in range(args.kmax + 1)
+                [k, " ".join(map(str, vec))]
+                for k, vec in enumerate(chains.runner_series(args.r, args.kmax))
             ]
     else:
         raise CliError(f"unknown family {args.family}")
@@ -218,8 +217,8 @@ def cmd_table(args) -> int:
 def cmd_double_pm(args) -> int:
     if args.construction != "dc":
         raise CliError("only the double chain has a closed-form count")
-    if args.n % 2:
-        raise CliError("double constructions need an even --n")
+    if args.n < 0 or args.n % 2:
+        raise CliError("double constructions need an even, nonnegative --n")
     _emit(args, str(doubling.double_chain_pm(args.n)) + "\n")
     return 0
 
@@ -296,13 +295,16 @@ def _verify_zigzag(max_points: int) -> list[dict]:
 def _verify_rchain(max_points: int, with_corners: bool) -> list[dict]:
     results = []
     for r in range(1, max_points + 1):
-        for k in range(1, max_points + 1):
+        # one recursion pass per r, up to the largest k that fits
+        kmax = (max_points - 1) // r if with_corners else max_points // r
+        series = corners.coupled_series(r, kmax) if with_corners else chains.runner_series(r, kmax)
+        for k in range(1, kmax + 1):
             n = r * k + 1 if with_corners else r * k
-            if n > max_points or n < 2:
+            if n < 2:
                 continue
             if with_corners:
                 ps = geometry.make_rchain(r, k, corners=True)
-                want_c, want_f = corners.coupled_series(r, k)[k]
+                want_c, want_f = series[k]
                 got_c, got_f = oracle.census_corner_split(ps)
                 ok = got_c == want_c and got_f == want_f
                 results.append(
@@ -312,7 +314,7 @@ def _verify_rchain(max_points: int, with_corners: bool) -> list[dict]:
                 )
             else:
                 ps = geometry.make_rchain(r, k, corners=False)
-                want = chains.runner_counts(r, k)
+                want = series[k]
                 got = oracle.census_runners(ps)
                 results.append(
                     {"case": f"runner vector {ps.label}", "expected": str(want),
@@ -346,6 +348,8 @@ def cmd_verify(args) -> int:
         results = _verify_double(args.max_points)
     else:
         raise CliError(f"unknown family {args.family}")
+    if not results:
+        raise CliError(f"--max-points {args.max_points} leaves no case to verify")
     report = {
         "command": f"verify --family {args.family} --max-points {args.max_points}",
         "cases": results,
@@ -387,7 +391,7 @@ def _parser() -> argparse.ArgumentParser:
                    choices=[k.value for k in MatchKind])
     p.add_argument("--cap", type=int)
     p.add_argument("--config", help="JSON file with enumeration caps, e.g. "
-                                    '{"caps": {"all": 18}, "threads": 1}')
+                                    '{"caps": {"all": 18}}')
     p.add_argument("--out")
     p.set_defaults(func=cmd_count)
 

@@ -26,6 +26,14 @@ The six contribution sums below (three per state class) encode which side
 each runner group must match to; window sums over alpha carry the same
 |i-j| <= alpha <= i+j parity constraint as the corner-free recursion.
 
+Those index bounds only bite near the start of the vectors.  From row r on
+none of them is active, so a step evaluates rows 0..r-1 (the head, width r)
+from the six sums and every later row as a Toeplitz band convolution, with
+the shared banded kernel of ``chains``.  The band coefficients are read once
+per r by ``extract_band``, which probes the six sums themselves; the tests
+check on random vectors, for r = 1..20, that this equals the sums on every
+row.
+
 For analysis the recursion is condensed: away from small indices each family
 acts as a band matrix with coefficients band[XY][beta] (response of X-states
 at offset beta to a unit Y-state), and the 2x2 matrix of band column sums
@@ -37,9 +45,11 @@ r-th root of the condensed matrix's dominant eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
+from .chains import _banded_step, _parity_prefix
 from .quadfield import QuadNumber
 
 
@@ -87,45 +97,57 @@ def coefficient_product_forms_agree(r: int) -> bool:
     return True
 
 
-def _parity_prefix(row: Sequence[int]) -> list[list[int]]:
-    out = [[0] * (len(row) + 1) for _ in range(2)]
-    for p in range(2):
-        acc = 0
-        for t in range(len(row)):
-            if t % 2 == p:
-                acc += row[t]
-            out[p][t + 1] = acc
-    return out
-
-
 def coupled_step(
-    c_prev: Sequence[int], f_prev: Sequence[int], coeffs: CornerCoefficients
+    c_prev: Sequence[int],
+    f_prev: Sequence[int],
+    coeffs: CornerCoefficients,
+    *,
+    rows: int | None = None,
 ) -> tuple[list[int], list[int]]:
     """One arc-attachment step of the coupled recursion, exactly.
 
-    Implemented directly from the six contribution sums with their index
-    bounds; the small-index irregularities are nothing but those bounds, so
-    no separately tabulated corner cases exist.
+    Rows below r come from the six contribution sums (``_exact_rows``);
+    from row r on every index bound of those sums is slack, so the rest is
+    the stabilized band of ``extract_band(r)``, read once per r.  With
+    ``rows`` only the first ``rows`` entries are computed.  Trailing
+    entries that are zero in both states are dropped.
+    """
+    n = max(len(c_prev), len(f_prev))
+    if len(c_prev) < n:
+        c_prev = list(c_prev) + [0] * (n - len(c_prev))
+    if len(f_prev) < n:
+        f_prev = list(f_prev) + [0] * (n - len(f_prev))
+    head = lambda stop: _exact_rows(c_prev, f_prev, coeffs, stop)
+    c_new, f_new = _banded_step((c_prev, f_prev), _stable_bands(coeffs.r), head, rows)
+    while len(c_new) > 1 and c_new[-1] == 0 and f_new[-1] == 0:
+        c_new.pop()
+        f_new.pop()
+    return c_new, f_new
+
+
+@lru_cache(maxsize=None)
+def _stable_bands(r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """((CC, CF), (FC, FF)) bands of extract_band(r): one probe per r."""
+    sys_r = extract_band(r)
+    return (sys_r.band_cc, sys_r.band_cf), (sys_r.band_fc, sys_r.band_ff)
+
+
+def _exact_rows(
+    c_prev: Sequence[int], f_prev: Sequence[int], coeffs: CornerCoefficients, stop: int
+) -> tuple[list[int], list[int]]:
+    """Rows 0..stop-1 of one step, straight from the six contribution sums.
+
+    Both states have one length n.  The small-index irregularities are
+    nothing but the index bounds of the sums, so no separately tabulated
+    corner cases exist.
     """
     r = coeffs.r
     Z, I, W, U = coeffs.no_corner, coeffs.left_in, coeffs.right_in, coeffs.both_in
     pz, pi, pw, pu = map(_parity_prefix, (Z, I, W, U))
-    n = max(len(c_prev), len(f_prev))
-    c_prev = list(c_prev) + [0] * (n - len(c_prev))
-    f_prev = list(f_prev) + [0] * (n - len(f_prev))
-    size = n + r
-    c_new = [0] * size
-    f_new = [0] * size
-
-    def window(prefix, i, j):
-        lo = abs(i - j)
-        if lo > r - 1:
-            return 0
-        hi = min(r - 1, i + j)
-        p = lo & 1
-        return prefix[p][hi + 1] - prefix[p][lo]
-
-    for i in range(size):
+    n = len(c_prev)
+    c_new = [0] * stop
+    f_new = [0] * stop
+    for i in range(stop):
         acc_c = 0
         acc_f = 0
         # a runner from the previous corner leaves the arc to the right:
@@ -144,25 +166,30 @@ def coupled_step(
                     acc_f += I[a] * c_prev[j]
                 if f_prev[j]:
                     acc_f += Z[a] * f_prev[j]
-        # window-coupled terms: arc runners fuse with j existing runners
+        # window-coupled terms: arc runners fuse with j existing runners,
+        # |i-j| <= alpha <= min(r-1, i+j), alpha = i-j (mod 2)
         for j in range(max(0, i - (r - 1)), min(n, i + r)):
             cp, fp = c_prev[j], f_prev[j]
+            if not (cp or fp):
+                continue
+            lo = abs(i - j)
+            hi = min(r - 1, i + j) + 1
+            p = lo & 1
             if cp:
-                acc_c += window(pi, i, j) * cp
-                acc_f += window(pu, i, j) * cp
+                acc_c += (pi[p][hi] - pi[p][lo]) * cp
+                acc_f += (pu[p][hi] - pu[p][lo]) * cp
             if fp:
-                acc_c += window(pz, i, j) * fp
-                acc_f += window(pw, i, j) * fp
+                acc_c += (pz[p][hi] - pz[p][lo]) * fp
+                acc_f += (pw[p][hi] - pw[p][lo]) * fp
         c_new[i] = acc_c
         f_new[i] = acc_f
-    while len(c_new) > 1 and c_new[-1] == 0 and f_new[-1] == 0:
-        c_new.pop()
-        f_new.pop()
     return c_new, f_new
 
 
 def coupled_series(r: int, kmax: int) -> list[tuple[list[int], list[int]]]:
     """States (C[k], F[k]) for k = 0..kmax, from C[0] = F[0] = [1]."""
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
     coeffs = corner_coefficients(r)
     states = [([1], [1])]
     for _ in range(kmax):
@@ -171,8 +198,21 @@ def coupled_series(r: int, kmax: int) -> list[tuple[list[int], list[int]]]:
 
 
 def chain_counts(r: int, kmax: int) -> list[int]:
-    """Down-free matching counts F[k][0] of the k-arc chain, k = 0..kmax."""
-    return [f[0] for _, f in coupled_series(r, kmax)]
+    """Down-free matching counts F[k][0] of the k-arc chain, k = 0..kmax.
+
+    Row i of a step reads no input index above i + r, so F[kmax][0] needs
+    only the first r*(kmax-k) + 1 entries of step k (its light cone), and
+    each step is truncated to them.
+    """
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    coeffs = corner_coefficients(r)
+    c_vec, f_vec = [1], [1]
+    counts = [1]
+    for k in range(1, kmax + 1):
+        c_vec, f_vec = coupled_step(c_vec, f_vec, coeffs, rows=r * (kmax - k) + 1)
+        counts.append(f_vec[0])
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +251,12 @@ def extract_band(r: int, probe: int | None = None) -> CoupledSystem:
     """Read the stabilized band coefficients off the recursion itself.
 
     A unit state at a probe index deep in the stabilized region (default
-    2r + 2) is pushed through one step; the responses at offsets -r..r are
-    the band coefficients.  Probing the linear map avoids transcribing
-    4(2r+1) closed forms by hand.  The band support |beta| <= r is verified,
-    and the positivity of all four families at beta in {-1, 0, 1} (what the
-    spectral growth bound assumes) is recorded.
+    2r + 2) is pushed through every row of one step of the six contribution
+    sums; the responses at offsets -r..r are the band coefficients.  Probing
+    the linear map avoids transcribing 4(2r+1) closed forms by hand.  The
+    band support |beta| <= r is verified, and the positivity of all four
+    families at beta in {-1, 0, 1} (what the spectral growth bound assumes)
+    is recorded.
     """
     coeffs = corner_coefficients(r)
     i0 = probe if probe is not None else 2 * r + 2
@@ -224,8 +265,9 @@ def extract_band(r: int, probe: int | None = None) -> CoupledSystem:
     unit = [0] * (i0 + 1)
     unit[i0] = 1
     zero = [0] * (i0 + 1)
-    c_from_c, f_from_c = coupled_step(unit, zero, coeffs)
-    c_from_f, f_from_f = coupled_step(zero, unit, coeffs)
+    size = i0 + 1 + r
+    c_from_c, f_from_c = _exact_rows(unit, zero, coeffs, size)
+    c_from_f, f_from_f = _exact_rows(zero, unit, coeffs, size)
 
     def band_of(resp: list[int]) -> tuple[int, ...]:
         grab = lambda idx: resp[idx] if 0 <= idx < len(resp) else 0

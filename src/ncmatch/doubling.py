@@ -53,8 +53,8 @@ def chain_profile(m: int) -> list[int]:
 
 def double_chain_pm(n: int) -> int:
     """Perfect matchings of the double chain on n points (n even), exactly."""
-    if n % 2 != 0:
-        raise ValueError("double chain needs an even number of points")
+    if n < 0 or n % 2 != 0:
+        raise ValueError("double chain needs an even, nonnegative number of points")
     half = n // 2
     return sum(
         (comb(half, j) * catalan((half - j) // 2)) ** 2

@@ -219,26 +219,20 @@ class QuadNumber:
 
     def sign(self) -> int:
         """Exact sign: -1, 0, or +1."""
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d
-        lhs, rhs = a * a, b * b * d
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+        return _sign(self.a, self.b, self.d)
 
     def _cmp(self, other) -> int:
-        other = QuadNumber._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign()
+        """Sign of self - other, read off the unreduced numerators:
+        self - other = (a + b*sqrt(d)) / (sc*oc) with sc*oc > 0."""
+        if type(other) is not QuadNumber:
+            other = QuadNumber._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        sb, ob, d = self.b, other.b, self.d
+        if other.d != d:
+            sb, ob, d = _common_d(self, other)
+        sc, oc = self.c, other.c
+        return _sign(self.a * oc - other.a * sc, sb * oc - ob * sc, d)
 
     def __eq__(self, other):
         c = self._cmp(other)
@@ -335,6 +329,23 @@ def _fill(x: QuadNumber, a: int, b: int, c: int, d: int) -> None:
     _set_b(x, b)
     _set_c(x, c)
     _set_d(x, d if b else 1)
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), d >= 0."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # opposite signs: compare a^2 with b^2 d
+    lhs, rhs = a * a, b * b * d
+    if a > 0:  # b < 0
+        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+    return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
 
 
 def _make(a: int, b: int, c: int, d: int) -> QuadNumber:

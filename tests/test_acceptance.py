@@ -205,13 +205,12 @@ def test_criterion_9_ratio_diagnostics():
     ok = True
 
     # corner-free chains, r = 5: consecutive head ratio near 271 by k = 300
-    from ncmatch.chains import _apply_banded, _arc_counts_cached, _parity_prefix
+    from ncmatch.chains import runner_step
 
-    prefix = _parity_prefix(_arc_counts_cached(5, "down-free"))
     vec = [1]
     head = []
     for k in range(301):
-        vec = _apply_banded(vec, 5, prefix)
+        vec = runner_step(vec, 5)
         if k >= 299:
             head.append(vec[0])
     ok &= abs(head[-1] / head[-2] - 271) / 271 < 0.01

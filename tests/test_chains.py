@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ncmatch.chains import (
@@ -8,6 +10,8 @@ from ncmatch.chains import (
     excursions,
     growth_factor,
     runner_counts,
+    runner_series,
+    runner_step,
     tail_bound_certificate,
     transfer_matrix,
 )
@@ -118,6 +122,35 @@ class TestRunnerRecursion:
         for k in range(1, 5):
             vec = mat.apply(vec)
             assert vec == runner_counts(4, k)
+
+
+class TestBandedKernel:
+    """runner_step evaluates rows below r from the parity windows and the
+    rest as a Toeplitz band; every row must equal the definition."""
+
+    @pytest.mark.parametrize("r", range(1, 21))
+    def test_head_width_r_is_exact_on_every_row(self, r):
+        from ncmatch.chains import _runner_rows, _runner_tables
+
+        rng = random.Random(r)
+        prefix, _ = _runner_tables(r)
+        for n in (1, 2, r, r + 1, 2 * r + 3, 3 * r + 7):
+            vec = [rng.randrange(-10**30, 10**30) for _ in range(n)]
+            vec[rng.randrange(n)] = 0
+            want = _runner_rows(vec, r, prefix, n + r)
+            assert runner_step(vec, r) == want
+            assert transfer_matrix(r).apply(vec) == want
+
+    def test_series_is_one_pass_of_runner_counts(self):
+        series = runner_series(3, 12)
+        assert len(series) == 13
+        assert all(vec == runner_counts(3, k) for k, vec in enumerate(series))
+
+    def test_negative_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            runner_series(3, -1)
+        with pytest.raises(ValueError):
+            runner_step([1], -1)
 
 
 class TestGrowthFactors:

@@ -140,3 +140,58 @@ def test_unknown_flag_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_recurse_rchain_rows_are_consecutive_steps(capsys):
+    from ncmatch.chains import runner_counts, transfer_matrix
+
+    code, out, _ = run(capsys, "recurse", "--family", "rchain", "--r", "3", "--kmax", "12")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "k,counts_by_runner" and len(lines) == 14
+    prev = None
+    for k, line in enumerate(lines[1:]):
+        kk, cell = line.split(",")
+        vec = [int(v) for v in cell.strip('"').split()]
+        assert int(kk) == k and vec == runner_counts(3, k)
+        assert vec == ([1] if prev is None else transfer_matrix(3).apply(prev))
+        prev = vec
+
+
+def test_verify_with_no_cases_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--family", "rchain", "--max-points", "0")
+    assert code == 2
+    assert "all_pass" not in out
+    assert "no case to verify" in err
+
+
+def test_double_pm_negative_rejected(capsys):
+    code, out, err = run(capsys, "double-pm", "--construction", "dc", "--n", "-4")
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--corners"]])
+def test_recurse_negative_kmax_is_usage_error(capsys, extra):
+    code, out, err = run(capsys, "recurse", "--family", "rchain", "--r", "3", "--kmax", "-1", *extra)
+    assert code == 2 and out == ""
+    assert "kmax must be nonnegative" in err
+
+
+@pytest.mark.parametrize("config", ["[]", '{"caps": [18]}'])
+def test_count_config_must_be_an_object(tmp_path, capsys, config):
+    pts, cfg = tmp_path / "pts.json", tmp_path / "cfg.json"
+    run(capsys, "gen", "--family", "chain", "--n", "5", "--out", str(pts))
+    cfg.write_text(config)
+    code, out, err = run(capsys, "count", "--input", str(pts), "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "config" in err
+
+
+def test_count_config_caps_apply(tmp_path, capsys):
+    pts, cfg = tmp_path / "pts.json", tmp_path / "cfg.json"
+    run(capsys, "gen", "--family", "chain", "--n", "12", "--out", str(pts))
+    cfg.write_text('{"caps": {"all": 10}}')
+    code, _, err = run(capsys, "count", "--input", str(pts), "--kind", "all", "--config", str(cfg))
+    assert code == 2 and "cap" in err

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ncmatch.corners import (
@@ -6,6 +8,7 @@ from ncmatch.corners import (
     condensed_table,
     corner_coefficients,
     coupled_series,
+    coupled_step,
     dominant_eigenvalue,
     extract_band,
 )
@@ -81,6 +84,57 @@ class TestCoupledRecursion:
             for k, (c, f) in enumerate(coupled_series(r, 5)):
                 assert len(c) <= r * k + 1 and len(f) <= r * k + 1
                 assert all(v >= 0 for v in c) and all(v >= 0 for v in f)
+
+
+def _trimmed(c_vec, f_vec):
+    """Drop trailing entries that are zero in both states, as coupled_step does."""
+    while len(c_vec) > 1 and c_vec[-1] == 0 and f_vec[-1] == 0:
+        c_vec, f_vec = c_vec[:-1], f_vec[:-1]
+    return c_vec, f_vec
+
+
+class TestBandedKernel:
+    """coupled_step evaluates rows below r from the six contribution sums and
+    the rest from the cached extract_band coefficients; every row must equal
+    the definition."""
+
+    @pytest.mark.parametrize("r", range(1, 21))
+    def test_head_width_r_is_exact_on_every_row(self, r):
+        from ncmatch.corners import _exact_rows
+
+        rng = random.Random(r)
+        coeffs = corner_coefficients(r)
+        for n in (1, 2, r, r + 1, 2 * r + 3, 3 * r + 7):
+            c_vec = [rng.randrange(0, 10**30) for _ in range(n)]
+            f_vec = [rng.randrange(0, 10**30) for _ in range(n)]
+            c_vec[rng.randrange(n)] = 0
+            want_c, want_f = _exact_rows(c_vec, f_vec, coeffs, n + r)
+            assert coupled_step(c_vec, f_vec, coeffs) == _trimmed(want_c, want_f)
+            rows = rng.randrange(1, n + r + 1)
+            assert coupled_step(c_vec, f_vec, coeffs, rows=rows) == _trimmed(want_c[:rows], want_f[:rows])
+            # unequal lengths are zero-padded
+            short = f_vec[: max(1, n // 2)]
+            want_c, want_f = _exact_rows(c_vec, short + [0] * (n - len(short)), coeffs, n + r)
+            assert coupled_step(c_vec, short, coeffs) == _trimmed(want_c, want_f)
+
+    def test_bands_are_probed_once_per_r(self, monkeypatch):
+        from ncmatch import corners
+
+        calls = []
+        real = corners.extract_band
+        monkeypatch.setattr(corners, "extract_band", lambda r, probe=None: calls.append(r) or real(r, probe))
+        corners._stable_bands.cache_clear()
+        try:
+            coupled_series(4, 10)
+            chain_counts(4, 10)
+        finally:
+            corners._stable_bands.cache_clear()
+        assert calls == [4]
+
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_light_cone_counts_equal_full_series(self, r):
+        kmax = max(4, 72 // r)
+        assert chain_counts(r, kmax) == [f[0] for _, f in coupled_series(r, kmax)]
 
 
 class TestBandExtraction:

@@ -174,3 +174,38 @@ def test_arithmetic_results_are_in_constructor_form(p1, p2, k, q):
             results.append(x / y)
     for res in results:
         assert res.as_tuple() == QuadNumber(*res.as_tuple()).as_tuple()
+
+
+# radicands of one field, Q(sqrt 3): 12 splits to 3, 3 * 20011**2 does not
+_FIELD3_OPERAND = st.tuples(
+    st.integers(-10**6, 10**6),
+    st.integers(-10**3, 10**3),
+    st.integers(1, 10**4),
+    st.sampled_from([1, 3, 12, 3 * BIG_P**2]),
+)
+
+
+def _assert_order_agrees(x, y):
+    s = (x - y).sign()
+    assert (x == y) == (s == 0) and (x != y) == (s != 0)
+    assert (x < y) == (s < 0) and (x <= y) == (s <= 0)
+    assert (x > y) == (s > 0) and (x >= y) == (s >= 0)
+
+
+@given(_FIELD3_OPERAND, _FIELD3_OPERAND, st.integers(-5, 5), st.fractions(max_denominator=50))
+def test_comparisons_agree_with_sign_of_difference(p1, p2, k, q):
+    x, y = QuadNumber(*p1), QuadNumber(*p2)
+    _assert_order_agrees(x, y)
+    _assert_order_agrees(x, x + 0)
+    a, b, c, _ = p1
+    _assert_order_agrees(QuadNumber(a, b, c, 3 * BIG_P**2), QuadNumber(a, b * BIG_P, c, 3))
+    for other in (k, q, QuadNumber(k), QuadNumber.from_rational(q)):
+        _assert_order_agrees(x, other)
+        s = (x - other).sign()
+        assert (other < x) == (s > 0) and (other == x) == (s == 0)
+
+
+def test_comparing_different_fields_raises():
+    for op in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        with pytest.raises(ValueError, match="incompatible radicands"):
+            getattr(QuadNumber.sqrt_of(2), op)(QuadNumber.sqrt_of(3))
