@@ -448,9 +448,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, oracle.SizeCapError, ValueError) as exc:
+    except (CliError, oracle.SizeCapError, ValueError, OSError) as exc:
         print(f"ncmatch: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # exit 1 is reserved for a failed check, so a crash gets its own code
+        print(f"ncmatch: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -55,21 +55,4 @@ def double_chain_pm(n: int) -> int:
     """Perfect matchings of the double chain on n points (n even), exactly."""
     if n < 0 or n % 2 != 0:
         raise ValueError("double chain needs an even, nonnegative number of points")
-    half = n // 2
-    return sum(
-        (comb(half, j) * catalan((half - j) // 2)) ** 2
-        for j in range(half + 1)
-        if (half - j) % 2 == 0
-    )
-
-
-def double_chain_pm_terms(n: int) -> list[tuple[int, int]]:
-    """(j, contribution) terms of :func:`double_chain_pm`, largest-j last."""
-    if n % 2 != 0:
-        raise ValueError("double chain needs an even number of points")
-    half = n // 2
-    return [
-        (j, (comb(half, j) * catalan((half - j) // 2)) ** 2)
-        for j in range(half + 1)
-        if (half - j) % 2 == 0
-    ]
+    return pm_of_double(chain_profile(n // 2))

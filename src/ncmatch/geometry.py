@@ -356,7 +356,17 @@ def to_json_dict(ps: PointSet) -> dict:
 
 
 def from_json_dict(data: dict) -> PointSet:
-    pts = tuple(
-        (Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in data["points"]
-    )
-    return PointSet(pts, data.get("label", "")).validate()
+    """Inverse of :func:`to_json_dict`; malformed input raises ValueError."""
+    rows = data.get("points") if isinstance(data, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError('point-set JSON needs a "points" list')
+    pts = []
+    for row in rows:
+        # bool is an int subclass, so test the exact type
+        if not (isinstance(row, list) and len(row) == 4 and all(type(v) is int for v in row)):
+            raise ValueError(f"point row {row!r} is not four integers [xn, xd, yn, yd]")
+        xn, xd, yn, yd = row
+        if xd == 0 or yd == 0:
+            raise ValueError(f"point row {row!r} has a zero denominator")
+        pts.append((Fraction(xn, xd), Fraction(yn, yd)))
+    return PointSet(tuple(pts), data.get("label", "")).validate()

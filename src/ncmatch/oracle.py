@@ -1,10 +1,11 @@
 """Brute-force enumeration of non-crossing matchings on exact point sets.
 
 This is the ground-truth engine: it never uses the counting recursions it is
-meant to check.  All geometry is resolved up front into exact boolean tables
-(segment crossings, which edges block a point's vertical rays); the
-enumeration itself is a backtracking sweep over the points in x-order using
-only bitmask tests, so exactness costs nothing inside the hot loop.
+meant to check.  All geometry is resolved up front, by integer determinants
+once the denominators are cleared, into bitmask tables (segment crossings,
+which edges block a point's vertical rays).  One backtracking sweep over the
+points in x-order, using only bitmask tests, hands each matching to a leaf
+fold (tally, list or count), so exactness costs nothing inside the hot loop.
 
 Matching kinds:
 
@@ -26,9 +27,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import count
+from math import lcm
+from typing import Callable, Iterator, Optional, Sequence
 
-from .geometry import DoubleSet, PointSet, orientation
+from .geometry import DoubleSet, PointSet
 
 
 class MatchKind(enum.Enum):
@@ -87,59 +90,56 @@ class MatchingCensus:
 # ---------------------------------------------------------------------------
 
 
-def _segments_cross(p: Sequence, a: int, b: int, c: int, d: int) -> bool:
-    """Proper crossing of segments ab and cd (no shared endpoints given)."""
-    o1 = orientation(p[a], p[b], p[c])
-    o2 = orientation(p[a], p[b], p[d])
-    if o1 is o2:
-        return False
-    o3 = orientation(p[c], p[d], p[a])
-    o4 = orientation(p[c], p[d], p[b])
-    return o3 is not o4
-
-
 class _Tables:
     """Per-point-set boolean tables as bitmasks over edge ids."""
 
-    __slots__ = ("n", "pairs", "eid", "cross", "below", "above", "cand")
+    __slots__ = ("n", "pairs", "eid", "cross", "below", "above", "moves")
 
     def __init__(self, ps: PointSet):
         pts = ps.points
         n = len(pts)
+        # one common denominator keeps every orientation an integer sign
+        scale = lcm(*(c.denominator for p in pts for c in p))
+        xs = [x.numerator * (scale // x.denominator) for x, _ in pts]
+        ys = [y.numerator * (scale // y.denominator) for _, y in pts]
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         eid = {pair: k for k, pair in enumerate(pairs)}
-        m = len(pairs)
-        cross = [0] * m
-        for x in range(m):
-            i, j = pairs[x]
-            for y in range(x + 1, m):
-                c, d = pairs[y]
-                if len({i, j, c, d}) < 4:
-                    continue
-                if _segments_cross(pts, i, j, c, d):
-                    cross[x] |= 1 << y
-                    cross[y] |= 1 << x
+        # left[e]: the points strictly left of (so above) the line i -> j
+        left = []
         below = [0] * n  # edges that block the downward ray of point p
         above = [0] * n  # edges that block the upward ray
-        for p in range(n):
-            px, py = pts[p]
-            for k, (i, j) in enumerate(pairs):
-                if not (i < p < j):
-                    continue
-                ax, ay = pts[i]
-                bx, by = pts[j]
-                y_at = ay + (by - ay) * (px - ax) / (bx - ax)
-                if y_at < py:
+        for k, (i, j) in enumerate(pairs):
+            dx, dy = xs[j] - xs[i], ys[j] - ys[i]
+            mask = 0
+            for p in range(n):
+                if dx * (ys[p] - ys[i]) > dy * (xs[p] - xs[i]):
+                    mask |= 1 << p
+            left.append(mask)
+            for p in range(i + 1, j):
+                if (mask >> p) & 1:
                     below[p] |= 1 << k
                 else:
                     above[p] |= 1 << k
+        cross = [0] * len(pairs)
+        for x, (i, j) in enumerate(pairs):
+            for y in range(x + 1, len(pairs)):
+                c, d = pairs[y]
+                if len({i, j, c, d}) < 4:
+                    continue
+                # proper crossing: each segment separates the other's ends
+                if (left[x] >> c ^ left[x] >> d) & 1 and (left[y] >> i ^ left[y] >> j) & 1:
+                    cross[x] |= 1 << y
+                    cross[y] |= 1 << x
         self.n = n
         self.pairs = pairs
         self.eid = eid
         self.cross = cross
         self.below = below
         self.above = above
-        self.cand = [[eid[(i, j)] for j in range(i + 1, n)] for i in range(n)]
+        # per point i: (bit of j, bit of edge ij, edges crossing ij) for each j > i
+        self.moves = [[] for _ in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            self.moves[i].append((1 << j, 1 << k, cross[k]))
 
 
 _TABLE_CACHE: dict[tuple, _Tables] = {}
@@ -169,53 +169,86 @@ def _check_cap(ps: PointSet, kind: MatchKind, cap: Optional[int]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _walk(
+    tab: _Tables,
+    kind: MatchKind,
+    leaf: Callable[[int, int], None],
+    used: int = 0,
+    edges: int = 0,
+    ok_edge: Optional[int] = None,
+) -> None:
+    """Call ``leaf(edges, runners)``, bitmasks over edge ids and points, once
+    per matching of `kind`.
+
+    Each unused point, in x-order, is left free, made a runner, or matched to
+    a later point.  `used` and `edges` fix points and edges from the start;
+    `ok_edge`, when given, masks the edges that may be added.
+    """
+    n = tab.n
+    free_block = tab.above if kind is MatchKind.UP_FREE else tab.below
+    if kind is MatchKind.ALL:
+        free_block = [0] * n
+    elif kind is MatchKind.PERFECT:
+        free_block = None
+    runner_block = tab.above if kind is MatchKind.RHO_DOWN_FREE else None
+    moves = tab.moves
+    if ok_edge is not None:
+        moves = [[mv for mv in row if mv[1] & ok_edge] for row in moves]
+
+    def walk(i: int, used: int, edges: int, runners: int) -> None:
+        while (used >> i) & 1:  # used has no bit at n or above
+            i += 1
+        if i == n:
+            leaf(edges, runners)
+            return
+        ubit = 1 << i
+        if free_block is not None and not (free_block[i] & edges):
+            walk(i + 1, used, edges, runners)
+        if runner_block is not None and not (runner_block[i] & edges):
+            walk(i + 1, used, edges, runners | ubit)
+        for jbit, ebit, crossing in moves[i]:
+            if used & jbit or crossing & edges:
+                continue
+            walk(i + 1, used | ubit | jbit, edges | ebit, runners)
+
+    walk(0, used, edges, 0)
+
+
+class _Decoded(dict):
+    """mask -> frozenset of names[k] over its set bits k, decoded once per mask."""
+
+    def __init__(self, names: Sequence):
+        self.names = names
+
+    def __missing__(self, mask: int) -> frozenset:
+        got = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            got.append(self.names[low.bit_length() - 1])
+            rest ^= low
+        self[mask] = decoded = frozenset(got)
+        return decoded
+
+
 def census(ps: PointSet, kind: MatchKind, cap: Optional[int] = None) -> MatchingCensus:
     """Count all matchings of the requested kind, exactly."""
     _check_cap(ps, kind, cap)
     tab = _tables(ps)
-    n = tab.n
-    pairs, cross, cand = tab.pairs, tab.cross, tab.cand
-    allow_runner = kind is MatchKind.RHO_DOWN_FREE
-    allow_free = kind is not MatchKind.PERFECT
-    if kind in (MatchKind.DOWN_FREE, MatchKind.RHO_DOWN_FREE):
-        free_block = tab.below
-    elif kind is MatchKind.UP_FREE:
-        free_block = tab.above
-    else:
-        free_block = [0] * n
-    runner_block = tab.above
+    tally: dict[tuple[int, int], int] = {}  # (edge count, runner count) -> matchings
 
-    tally: dict[tuple[int, int], int] = {}
+    def leaf(edges: int, runners: int) -> None:
+        key = (edges.bit_count(), runners.bit_count())
+        tally[key] = tally.get(key, 0) + 1
 
-    def walk(i: int, used: int, edges: int, free: int, runners: int) -> None:
-        while i < n and (used >> i) & 1:
-            i += 1
-        if i == n:
-            key = (free, runners)
-            tally[key] = tally.get(key, 0) + 1
-            return
-        if allow_free and not (free_block[i] & edges):
-            walk(i + 1, used, edges, free + 1, runners)
-        if allow_runner and not (runner_block[i] & edges):
-            walk(i + 1, used, edges, free, runners + 1)
-        ubit = 1 << i
-        for e in cand[i]:
-            j = pairs[e][1]
-            if (used >> j) & 1:
-                continue
-            if cross[e] & edges:
-                continue
-            walk(i + 1, used | ubit | (1 << j), edges | (1 << e), free, runners)
-
-    walk(0, 0, 0, 0, 0)
+    _walk(tab, kind, leaf)
+    by_free_and_runners = {(tab.n - 2 * e - r, r): cnt for (e, r), cnt in tally.items()}
     by_free: dict[int, int] = {}
     by_runners: dict[int, int] = {}
-    total = 0
-    for (f, r), cnt in tally.items():
-        total += cnt
+    for (f, r), cnt in by_free_and_runners.items():
         by_free[f] = by_free.get(f, 0) + cnt
         by_runners[r] = by_runners.get(r, 0) + cnt
-    return MatchingCensus(total, by_free, by_runners, tally)
+    return MatchingCensus(sum(tally.values()), by_free, by_runners, by_free_and_runners)
 
 
 def census_runners(ps: PointSet, cap: Optional[int] = None) -> list[int]:
@@ -223,8 +256,6 @@ def census_runners(ps: PointSet, cap: Optional[int] = None) -> list[int]:
 
     Entry 0 equals ``census(ps, DOWN_FREE).total``; the empty set gives [1].
     """
-    if len(ps) == 0:
-        return [1]
     return census(ps, MatchKind.RHO_DOWN_FREE, cap).runner_vector()
 
 
@@ -239,35 +270,19 @@ def census_corner_split(
     """
     _check_cap(ps, MatchKind.RHO_DOWN_FREE, cap)
     tab = _tables(ps)
-    n = tab.n
-    pairs, cross, cand = tab.pairs, tab.cross, tab.cand
-    free_block, runner_block = tab.below, tab.above
-    last = n - 1
+    # no edge passes over the rightmost point, so its runner is never blocked
+    last = 1 << (tab.n - 1) if tab.n else 0
     marked: dict[int, int] = {}
     unmarked: dict[int, int] = {}
 
-    def walk(i: int, used: int, edges: int, runners: int, mark: bool) -> None:
-        while i < n and (used >> i) & 1:
-            i += 1
-        if i == n:
-            tally = marked if mark else unmarked
-            tally[runners] = tally.get(runners, 0) + 1
-            return
-        if not (free_block[i] & edges):
-            walk(i + 1, used, edges, runners, mark)
-        if not (runner_block[i] & edges):
-            if i == last:
-                walk(i + 1, used, edges, runners, True)
-            else:
-                walk(i + 1, used, edges, runners + 1, mark)
-        ubit = 1 << i
-        for e in cand[i]:
-            j = pairs[e][1]
-            if (used >> j) & 1 or (cross[e] & edges):
-                continue
-            walk(i + 1, used | ubit | (1 << j), edges | (1 << e), runners, mark)
+    def leaf(edges: int, runners: int) -> None:
+        i = runners.bit_count()
+        if runners & last:
+            marked[i - 1] = marked.get(i - 1, 0) + 1
+        else:
+            unmarked[i] = unmarked.get(i, 0) + 1
 
-    walk(0, 0, 0, 0, False)
+    _walk(tab, MatchKind.RHO_DOWN_FREE, leaf)
     dense = lambda d: [d.get(i, 0) for i in range(max(d, default=0) + 1)]
     return dense(marked), dense(unmarked)
 
@@ -278,36 +293,10 @@ def matchings(
     """Yield every matching of the requested kind (for sampling in tests)."""
     _check_cap(ps, kind, cap)
     tab = _tables(ps)
-    n = tab.n
-    pairs, cross, cand = tab.pairs, tab.cross, tab.cand
-    allow_runner = kind is MatchKind.RHO_DOWN_FREE
-    allow_free = kind is not MatchKind.PERFECT
-    if kind in (MatchKind.DOWN_FREE, MatchKind.RHO_DOWN_FREE):
-        free_block = tab.below
-    elif kind is MatchKind.UP_FREE:
-        free_block = tab.above
-    else:
-        free_block = [0] * n
-    runner_block = tab.above
-
-    def walk(i: int, used: int, edges: int, acc: list, runners: list):
-        while i < n and (used >> i) & 1:
-            i += 1
-        if i == n:
-            yield Matching(frozenset(acc), frozenset(runners))
-            return
-        if allow_free and not (free_block[i] & edges):
-            yield from walk(i + 1, used, edges, acc, runners)
-        if allow_runner and not (runner_block[i] & edges):
-            yield from walk(i + 1, used, edges, acc, runners + [i])
-        ubit = 1 << i
-        for e in cand[i]:
-            j = pairs[e][1]
-            if (used >> j) & 1 or (cross[e] & edges):
-                continue
-            yield from walk(i + 1, used | ubit | (1 << j), edges | (1 << e), acc + [pairs[e]], runners)
-
-    yield from walk(0, 0, 0, [], [])
+    edge_sets, runner_sets = _Decoded(tab.pairs), _Decoded(range(tab.n))
+    found: list[Matching] = []
+    _walk(tab, kind, lambda e, r: found.append(Matching(edge_sets[e], runner_sets[r])))
+    yield from found
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +338,6 @@ def is_up_free(ps: PointSet, m: Matching) -> bool:
     return all(not (tab.above[p] & mask) for p in m.free_points(len(ps)))
 
 
-def is_rho_down_free(ps: PointSet, m: Matching) -> bool:
-    """Runners visible from above, remaining free points visible from below."""
-    tab = _tables(ps)
-    mask = _edge_mask(tab, m.edges)
-    if any(tab.above[p] & mask for p in m.runners):
-        return False
-    return all(not (tab.below[p] & mask) for p in m.free_points(len(ps)))
-
-
 # ---------------------------------------------------------------------------
 # completion to perfect matchings (the unique-extension mechanism)
 # ---------------------------------------------------------------------------
@@ -380,36 +360,16 @@ def count_perfect_extensions(
     tab = _tables(ps)
     if not is_noncrossing(ps, fixed):
         return 0
-    n = tab.n
-    pairs, cross, cand = tab.pairs, tab.cross, tab.cand
     edges0 = _edge_mask(tab, fixed.edges)
-    used0 = 0
-    for i in fixed.matched_points():
-        used0 |= 1 << i
-    if allowed is None:
-        ok_edge = [True] * len(pairs)
-    else:
+    used0 = sum(1 << i for i in fixed.matched_points())
+    ok_edge = None
+    if allowed is not None:
         norm = {(min(i, j), max(i, j)) for i, j in allowed}
-        ok_edge = [pair in norm for pair in pairs]
+        ok_edge = sum(1 << e for e, pair in enumerate(tab.pairs) if pair in norm)
 
-    count = 0
-
-    def walk(i: int, used: int, edges: int) -> None:
-        nonlocal count
-        while i < n and (used >> i) & 1:
-            i += 1
-        if i == n:
-            count += 1
-            return
-        ubit = 1 << i
-        for e in cand[i]:
-            j = pairs[e][1]
-            if not ok_edge[e] or (used >> j) & 1 or (cross[e] & edges):
-                continue
-            walk(i + 1, used | ubit | (1 << j), edges | (1 << e))
-
-    walk(0, used0, edges0)
-    return count
+    leaves = count()  # its next value is the number of leaves so far
+    _walk(tab, MatchKind.PERFECT, lambda edges, runners: next(leaves), used0, edges0, ok_edge)
+    return next(leaves)
 
 
 def count_cross_completions(
@@ -421,11 +381,7 @@ def count_cross_completions(
     edges are the within-half matchings, and every added edge must join the
     upper half to the lower half.
     """
-    upper = set(double.upper)
-    lower = set(double.lower)
-    crossing = {
-        (min(u, l), max(u, l)) for u in upper for l in lower
-    }
+    crossing = {(u, l) for u in double.upper for l in double.lower}
     return count_perfect_extensions(double.points, fixed, cap, allowed=crossing)
 
 

@@ -212,9 +212,3 @@ def all_matchings_growth_constant() -> tuple[QuadNumber, float]:
     """Same for counting all matchings: ((9 + sqrt(105))/2, ~3.1022)."""
     rate = QuadNumber(9, 1, 2, 105)
     return rate, rate.root_float(2)
-
-
-def series_ratio(kind: Kind, k: int) -> float:
-    """Diagnostic c[k+1]/c[k]; approaches the exact rate like O(1/k)."""
-    zz = zigzag_series(k + 1, kind)
-    return zz.c[k + 1] / zz.c[k]

@@ -195,3 +195,42 @@ def test_count_config_caps_apply(tmp_path, capsys):
     cfg.write_text('{"caps": {"all": 10}}')
     code, _, err = run(capsys, "count", "--input", str(pts), "--kind", "all", "--config", str(cfg))
     assert code == 2 and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"label": "no points"},
+        {"points": [[0, 1, 0, 1], [1, 0, 2, 1]]},
+        {"points": [[0, 1, 0, 1], [1.5, 1, 2, 1]]},
+        {"points": [[0, 1, 0, 1], [True, 1, 2, 1]]},
+        {"points": [[0, 1, 0, 1], [1, 1, 2]]},
+        {"points": [[0, 1, 0, 1], [1, 1, 2, 1, 5]]},
+    ],
+    ids=["missing-points", "zero-denominator", "float-entry", "bool-entry", "three-entries",
+         "five-entries"],
+)
+def test_count_malformed_point_json_is_usage_error(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "count", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("ncmatch: ") and "Traceback" not in err
+
+
+def test_count_missing_input_file_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "count", "--input", str(tmp_path / "absent.json"))
+    assert code == 2 and out == ""
+    assert "absent.json" in err
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    import ncmatch.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_table", broken)
+    code, out, err = run(capsys, "table", "--max-r", "3")
+    assert code == 3 and out == ""
+    assert err == "ncmatch: internal error: RuntimeError: boom\n"

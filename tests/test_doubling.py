@@ -4,7 +4,6 @@ from ncmatch.doubling import (
     catalan,
     chain_profile,
     double_chain_pm,
-    double_chain_pm_terms,
     motzkin,
     pm_of_double,
     profile_from_by_free,
@@ -95,6 +94,6 @@ def test_profile_concentration_bounds(builder, n):
 
 
 def test_dominant_term_sits_near_one_sixth():
-    terms = double_chain_pm_terms(60)
-    best_j = max(terms, key=lambda t: t[1])[0]
+    profile = chain_profile(30)
+    best_j = max(range(len(profile)), key=profile.__getitem__)
     assert abs(best_j - 10) <= 2

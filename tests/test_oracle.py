@@ -1,7 +1,22 @@
+import random
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from ncmatch.doubling import catalan, motzkin
-from ncmatch.geometry import Direction, Parity, double_chain, double_zigzag, make_chain, make_rchain, make_zigzag
+from ncmatch.geometry import (
+    Direction,
+    Orientation,
+    Parity,
+    PointSet,
+    double_chain,
+    double_zigzag,
+    make_chain,
+    make_rchain,
+    make_zigzag,
+    orientation,
+)
 from ncmatch.oracle import (
     DEFAULT_CAPS,
     MatchKind,
@@ -18,6 +33,7 @@ from ncmatch.oracle import (
     is_up_free,
     matchings,
 )
+from ncmatch.oracle import _tables
 
 from conftest import globalize, halves_maps
 
@@ -205,3 +221,85 @@ def test_extension_counter_respects_fixed_edges():
     fixed = Matching(frozenset({(0, 5)}))
     # edge over everything: remaining points must match under it
     assert count_perfect_extensions(ps, fixed) == catalan(2)
+
+
+def _reference_tables(ps: PointSet):
+    """cross, below and above from Fraction orientations, edge ids in (i, j) order."""
+    pts = ps.points
+    pairs = list(combinations(range(len(pts)), 2))
+    cross = [0] * len(pairs)
+    for x, (i, j) in enumerate(pairs):
+        for y, (c, d) in enumerate(pairs):
+            if len({i, j, c, d}) == 4 and (
+                orientation(pts[i], pts[j], pts[c]) is not orientation(pts[i], pts[j], pts[d])
+                and orientation(pts[c], pts[d], pts[i]) is not orientation(pts[c], pts[d], pts[j])
+            ):
+                cross[x] |= 1 << y
+    below = [0] * len(pts)
+    above = [0] * len(pts)
+    for k, (i, j) in enumerate(pairs):
+        for p in range(i + 1, j):
+            if orientation(pts[i], pts[j], pts[p]) is Orientation.CCW:
+                below[p] |= 1 << k
+            else:
+                above[p] |= 1 << k
+    return cross, below, above
+
+
+def _random_general_position(rng: random.Random, n: int) -> PointSet:
+    """n points with mixed denominators and negative coordinates."""
+    while True:
+        pts = [
+            (Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+             Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+            for _ in range(n)
+        ]
+        pts.sort()
+        try:
+            return PointSet(tuple(pts), f"random(n={n})").validate()
+        except ValueError:
+            continue
+
+
+class TestIntegerTables:
+    def test_random_sets_match_fraction_orientations(self):
+        rng = random.Random(2015)
+        for n in [3, 4, 5, 6, 7, 8, 9, 10] * 2 + [11, 12, 12, 13]:
+            ps = _random_general_position(rng, n)
+            tab = _tables(ps)
+            assert (tab.cross, tab.below, tab.above) == _reference_tables(ps), ps.points
+
+    @pytest.mark.parametrize(
+        "ps",
+        [
+            make_chain(9),
+            make_chain(8, Direction.UPWARD),
+            make_zigzag(10, Parity.EVEN),
+            make_zigzag(9, Parity.ODD, Direction.UPWARD),
+            make_rchain(3, 3, corners=True),
+            make_rchain(3, 3, corners=False),
+            double_chain(10).points,
+            double_zigzag(10).points,
+        ],
+        ids=lambda ps: ps.label,
+    )
+    def test_family_sets_match_fraction_orientations(self, ps):
+        tab = _tables(ps)
+        assert (tab.cross, tab.below, tab.above) == _reference_tables(ps)
+
+
+class TestTinySets:
+    def test_empty_set(self):
+        empty = PointSet(())
+        assert census_corner_split(empty) == ([0], [1])
+        for kind in MatchKind:
+            cen = census(empty, kind)
+            assert (cen.total, cen.by_free_and_runners) == (1, {(0, 0): 1})
+
+    def test_one_point(self):
+        one = PointSet(((Fraction(0), Fraction(0)),))
+        assert census_corner_split(one) == ([1], [1])
+        assert census(one, MatchKind.PERFECT).total == 0
+        for kind in (MatchKind.ALL, MatchKind.DOWN_FREE, MatchKind.UP_FREE):
+            assert census(one, kind).by_free_and_runners == {(1, 0): 1}
+        assert census(one, MatchKind.RHO_DOWN_FREE).by_free_and_runners == {(1, 0): 1, (0, 1): 1}
