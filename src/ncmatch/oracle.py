@@ -304,18 +304,26 @@ def matchings(
 # ---------------------------------------------------------------------------
 
 
+def _edge_id(tab: _Tables, edge: tuple[int, int]) -> int:
+    """Id of an edge given in either order; ValueError unless it joins two
+    distinct points of the set."""
+    i, j = edge
+    k = tab.eid.get((min(i, j), max(i, j)))
+    if k is None:
+        raise ValueError(f"edge {edge} is not two distinct points among 0..{tab.n - 1}")
+    return k
+
+
 def _edge_mask(tab: _Tables, edges) -> int:
     mask = 0
-    for i, j in edges:
-        if i == j:
-            raise ValueError("degenerate edge")
-        mask |= 1 << tab.eid[(min(i, j), max(i, j))]
+    for e in edges:
+        mask |= 1 << _edge_id(tab, e)
     return mask
 
 
 def is_noncrossing(ps: PointSet, m: Matching) -> bool:
     tab = _tables(ps)
-    ids = sorted(tab.eid[(min(i, j), max(i, j))] for i, j in m.edges)
+    ids = sorted(_edge_id(tab, e) for e in m.edges)
     seen = 0
     for e in ids:
         if tab.cross[e] & seen:

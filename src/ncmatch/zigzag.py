@@ -36,7 +36,6 @@ is sqrt((9+sqrt(105))/2) ~ 3.1022.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal
 
 from .quadfield import QuadNumber
@@ -111,87 +110,67 @@ _QUARTIC = (
     [0, 0, -8, -16, -8, -8, -8],
     [0, 0, 0, 4, 12, 12, 8, 8, 4],
 )
+# ... and of its derivative in C
+_QUARTIC_DERIV = tuple([i * q for q in poly] for i, poly in enumerate(_QUARTIC) if i)
 
 
-def _mul(u: list[Fraction], v: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * order
-    for i, ui in enumerate(u):
-        if not ui or i >= order:
-            continue
-        for j, vj in enumerate(v):
-            if i + j >= order:
-                break
-            if vj:
-                out[i + j] += ui * vj
+def _mul(u, v, order):
+    """Product of two series truncated to ``order`` terms (any ring)."""
+    out = [0] * order
+    for i, ui in enumerate(u[:order]):
+        if ui:
+            for j, vj in enumerate(v[: order - i], i):
+                out[j] += ui * vj
     return out
 
 
-def _add(u, v):
-    n = max(len(u), len(v))
-    return [
-        (u[i] if i < len(u) else 0) + (v[i] if i < len(v) else 0) for i in range(n)
-    ]
-
-
-def _scale(u, s):
-    return [s * x for x in u]
-
-
-def _inverse(u: list[Fraction], order: int) -> list[Fraction]:
-    if not u or u[0] == 0:
-        raise ZeroDivisionError("series has no inverse")
-    inv = [Fraction(1, 1) / u[0]]
+def _inverse(u: list[int], order: int) -> list[int]:
+    """Series inverse of u to ``order`` terms.  Over Z it exists only when
+    u[0] is 1 or -1; anything else means a bug upstream."""
+    if not u or u[0] not in (1, -1):
+        raise AssertionError(f"constant term {u[:1]} has no inverse in Z")
+    inv = [u[0]]
     prec = 1
     while prec < order:
         prec = min(2 * prec, order)
-        t = _mul(u[:prec], inv, prec)
-        t = [-x for x in t]
+        t = [-x for x in _mul(u[:prec], inv, prec)]
         t[0] += 2
         inv = _mul(inv, t, prec)
     return inv
 
 
 def _eval_poly_series(coeffs, series, order):
-    """Evaluate sum coeffs[i](x) * series(x)**i, truncated."""
-    powers = [[Fraction(1)]]
-    for _ in range(len(coeffs) - 1):
-        powers.append(_mul(powers[-1], series, order))
-    out = [Fraction(0)] * order
-    for poly, pw in zip(coeffs, powers):
-        out = _add(out, _mul([Fraction(q) for q in poly], pw, order))
-    return out[:order]
+    """Evaluate sum coeffs[i](x) * series(x)**i, truncated (Horner)."""
+    out = [0] * order
+    for poly in reversed(coeffs):
+        out = _mul(out, series, order)
+        for i, q in enumerate(poly[:order]):
+            out[i] += q
+    return out
 
 
-def quartic_residual(series: list[Fraction], order: int) -> list[Fraction]:
-    """Plug a series into the defining quartic; the zero series certifies it."""
+def quartic_residual(series: list, order: int) -> list:
+    """Plug a series (ints or Fractions) into the defining quartic; the zero
+    series certifies it."""
     return _eval_poly_series(_QUARTIC, series, order)
 
 
 def closed_form_coeffs(kmax: int) -> list[int]:
     """Coefficients of the power-series root of the quartic, by Newton
-    iteration on formal power series.  They must come out integral and equal
-    the recursion's c-sequence; a non-integral coefficient means a bug."""
+    iteration on formal power series over the integers.  F'(C) has constant
+    term -1 at C = 1, x = 0, so its inverse is integral and every step stays
+    in Z[[x]].  The coefficients must equal the recursion's c-sequence."""
     order = kmax + 1
-    deriv = (
-        _QUARTIC[1],
-        _scale(_QUARTIC[2], 2),
-        _scale(_QUARTIC[3], 3),
-        _scale(_QUARTIC[4], 4),
-    )
-    cur = [Fraction(1)]
+    cur = [1]
     prec = 1
     while prec < order:
         prec = min(2 * prec, order)
+        cur += [0] * (prec - len(cur))
         f = _eval_poly_series(_QUARTIC, cur, prec)
-        fp = _eval_poly_series(deriv, cur, prec)
+        fp = _eval_poly_series(_QUARTIC_DERIV, cur, prec)
         step = _mul(f, _inverse(fp, prec), prec)
-        cur = [(cur[i] if i < len(cur) else Fraction(0)) - step[i] for i in range(prec)]
-    out = []
-    for q in cur[:order]:
-        if q.denominator != 1:
-            raise AssertionError(f"non-integral series coefficient {q}")
-        out.append(q.numerator)
-    return out
+        cur = [c - s for c, s in zip(cur, step)]
+    return cur[:order]
 
 
 # ---------------------------------------------------------------------------

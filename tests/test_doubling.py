@@ -34,8 +34,10 @@ def test_trivial_profile():
 
 
 def test_chain_profile_reproduces_closed_form():
+    """The closed form against the oracle's down-free profile of one half."""
     for n in (6, 8, 10, 12, 14):
-        assert pm_of_double(chain_profile(n // 2)) == double_chain_pm(n)
+        prof = profile_from_by_free(census(make_chain(n // 2), MatchKind.DOWN_FREE).by_free)
+        assert double_chain_pm(n) == pm_of_double(prof)
 
 
 def test_chain_profile_matches_oracle():

@@ -120,6 +120,21 @@ class TestRunnerCensus:
                         fused += zj * zb
             assert fused == (whole[i] if i < len(whole) else 0)
 
+    def test_corner_split_on_upward_three_chain(self):
+        """Points 0, 1, 2 on a cap: 1 lies above the edge (0, 2), so it may be
+        a runner there but not free; 0 and 2 are never under or over an edge.
+        Mark = runner on point 2; index = runners on 0 and 1.
+          no edge, 2 runner:  0, 1 free or runner      -> marked [1, 2, 1]
+          (0, 1), 2 runner:                            -> marked [1]
+          no edge, 2 free:    0, 1 free or runner      -> unmarked [1, 2, 1]
+          (0, 1), 2 free:                              -> unmarked [1]
+          (1, 2), 0 free or runner                     -> unmarked [1, 1]
+          (0, 2), 1 runner                             -> unmarked [0, 1]
+        """
+        ps = make_chain(3, Direction.UPWARD)
+        assert census_corner_split(ps) == ([2, 2, 1], [3, 4, 1])
+        assert census_runners(ps) == [3, 6, 3, 1]
+
     def test_corner_split_sums_to_runner_census(self):
         ps = make_rchain(3, 2, corners=True)
         marked, unmarked = census_corner_split(ps)
@@ -151,6 +166,16 @@ class TestPredicates:
         ps = make_chain(4)
         assert not is_noncrossing(ps, Matching(frozenset({(0, 2), (1, 3)})))
         assert is_noncrossing(ps, Matching(frozenset({(0, 3), (1, 2)})))
+
+    @pytest.mark.parametrize("edge", [(1, 9), (9, 1), (-1, 2), (1, 1)])
+    def test_bad_edge_rejected(self, edge):
+        ps = make_chain(4)
+        m = Matching(frozenset({edge}))
+        for predicate in (is_noncrossing, is_down_free, is_up_free):
+            with pytest.raises(ValueError):
+                predicate(ps, m)
+        with pytest.raises(ValueError):
+            count_perfect_extensions(ps, m)
 
     def test_lister_agrees_with_census(self):
         ps = make_zigzag(7, Parity.EVEN)

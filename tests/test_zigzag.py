@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncmatch import zigzag
 from ncmatch.geometry import Parity, make_zigzag
 from ncmatch.oracle import MatchKind, census
 from ncmatch.quadfield import QuadNumber
@@ -51,9 +52,24 @@ class TestClosedForm:
     def test_equals_recursion_to_fifty(self):
         assert closed_form_coeffs(50) == list(zigzag_series(50).c)
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 150])
+    def test_plain_ints_equal_recursion(self, k):
+        got = closed_form_coeffs(k)
+        assert got == list(zigzag_series(k).c)
+        assert all(type(x) is int for x in got)
+
     def test_series_satisfies_quartic(self):
         series = [Fraction(c) for c in closed_form_coeffs(50)]
         assert all(x == 0 for x in quartic_residual(series, 51))
+
+    def test_integer_series_satisfies_quartic(self):
+        assert quartic_residual(closed_form_coeffs(50), 51) == [0] * 51
+
+    def test_inverse_needs_a_unit_constant_term(self):
+        inv = zigzag._inverse([-1, 3, 5], 6)
+        assert _conv([-1, 3, 5], inv, 6) == [1, 0, 0, 0, 0, 0]
+        with pytest.raises(AssertionError):
+            zigzag._inverse([2, 1], 3)
 
 
 def _conv(u, v, order):
