@@ -30,9 +30,10 @@ Those index bounds only bite near the start of the vectors.  From row r on
 none of them is active, so a step evaluates rows 0..r-1 (the head, width r)
 from the six sums and every later row as a Toeplitz band convolution, with
 the shared banded kernel of ``chains``.  The band coefficients are read once
-per r by ``extract_band``, which probes the six sums themselves; the tests
-check on random vectors, for r = 1..20, that this equals the sums on every
-row.
+per r by ``extract_band``, which probes the six sums themselves.  The sums
+are evaluated column by column and visit only the nonzero inputs, so a unit
+probe costs O(r); the tests check on random vectors, for r = 1..20, that the
+kernel equals the sums on every row.
 
 For analysis the recursion is condensed: away from small indices each family
 acts as a band matrix with coefficients band[XY][beta] (response of X-states
@@ -80,23 +81,6 @@ def corner_coefficients(r: int) -> CornerCoefficients:
     )
 
 
-def coefficient_product_forms_agree(r: int) -> bool:
-    """The bracketed differences above equal their closed product forms."""
-
-    def comb0(n: int, k: int) -> int:
-        return comb(n, k) if 0 <= k <= n else 0
-
-    cc = corner_coefficients(r)
-    for a in range(r):
-        pick = comb(r - 1, a)
-        rest = r - 1 - a
-        if cc.left_in[a] != pick * comb0(rest, (rest - 1) // 2):
-            return False
-        if cc.both_in[a] != pick * comb0(rest + 1, rest // 2):
-            return False
-    return True
-
-
 def coupled_step(
     c_prev: Sequence[int],
     f_prev: Sequence[int],
@@ -137,52 +121,51 @@ def _exact_rows(
 ) -> tuple[list[int], list[int]]:
     """Rows 0..stop-1 of one step, straight from the six contribution sums.
 
-    Both states have one length n.  The small-index irregularities are
-    nothing but the index bounds of the sums, so no separately tabulated
-    corner cases exist.
+    Both states have one length n.  The sums are taken column by column:
+    each nonzero input j adds its terms to the rows i < stop with
+    |i - j| <= r, so only inputs below stop + r are read and a unit probe
+    costs O(r).  The small-index irregularities are nothing but the index
+    bounds of the sums, so no separately tabulated corner cases exist.
     """
     r = coeffs.r
     Z, I, W, U = coeffs.no_corner, coeffs.left_in, coeffs.right_in, coeffs.both_in
-    pz, pi, pw, pu = map(_parity_prefix, (Z, I, W, U))
-    n = len(c_prev)
+    prefixes = pz, pi, pw, pu = [_parity_prefix(fam) for fam in (Z, I, W, U)]
+    # window sums up to alpha = r - 1, the upper bound once i + j >= r - 1
+    wz, wi, ww, wu = ([pre[q & 1][r] - pre[q & 1][q] for q in range(r)] for pre in prefixes)
     c_new = [0] * stop
     f_new = [0] * stop
-    for i in range(stop):
-        acc_c = 0
-        acc_f = 0
-        # a runner from the previous corner leaves the arc to the right:
-        # alpha = i - 1 - j new runners join it
-        for a in range(min(r - 1, i - 1) + 1):
-            cp = c_prev[i - 1 - a] if i - 1 - a < n else 0
-            if cp:
-                acc_c += Z[a] * cp
-                acc_f += W[a] * cp
-        # the new corner's runner reaches back past the previous corner:
-        # all alpha arc runners must match to the left
-        for a in range(r):
-            j = i + 1 + a
-            if j < n:
-                if c_prev[j]:
-                    acc_f += I[a] * c_prev[j]
-                if f_prev[j]:
-                    acc_f += Z[a] * f_prev[j]
-        # window-coupled terms: arc runners fuse with j existing runners,
-        # |i-j| <= alpha <= min(r-1, i+j), alpha = i-j (mod 2)
-        for j in range(max(0, i - (r - 1)), min(n, i + r)):
-            cp, fp = c_prev[j], f_prev[j]
-            if not (cp or fp):
-                continue
-            lo = abs(i - j)
-            hi = min(r - 1, i + j) + 1
-            p = lo & 1
-            if cp:
-                acc_c += (pi[p][hi] - pi[p][lo]) * cp
-                acc_f += (pu[p][hi] - pu[p][lo]) * cp
-            if fp:
-                acc_c += (pz[p][hi] - pz[p][lo]) * fp
-                acc_f += (pw[p][hi] - pw[p][lo]) * fp
-        c_new[i] = acc_c
-        f_new[i] = acc_f
+    for j in range(min(len(c_prev), stop + r)):
+        cp, fp = c_prev[j], f_prev[j]
+        if not (cp or fp):
+            continue
+        for i in range(max(0, j - r), min(stop, j + r + 1)):
+            if i < j:
+                # the new corner's runner reaches back past the previous
+                # corner: all alpha = j - 1 - i arc runners match to the left
+                lo = j - i
+                acc_c = 0
+                acc_f = I[lo - 1] * cp + Z[lo - 1] * fp
+            elif i > j:
+                # a runner from the previous corner leaves the arc to the
+                # right: alpha = i - 1 - j new runners join it
+                lo = i - j
+                acc_c = Z[lo - 1] * cp
+                acc_f = W[lo - 1] * cp
+            else:
+                lo = acc_c = acc_f = 0
+            # window-coupled terms: arc runners fuse with j existing runners,
+            # |i-j| <= alpha <= min(r-1, i+j), alpha = i-j (mod 2)
+            if lo < r:
+                if i + j >= r - 1:
+                    acc_c += wi[lo] * cp + wz[lo] * fp
+                    acc_f += wu[lo] * cp + ww[lo] * fp
+                else:
+                    hi = i + j + 1
+                    p = lo & 1
+                    acc_c += (pi[p][hi] - pi[p][lo]) * cp + (pz[p][hi] - pz[p][lo]) * fp
+                    acc_f += (pu[p][hi] - pu[p][lo]) * cp + (pw[p][hi] - pw[p][lo]) * fp
+            c_new[i] += acc_c
+            f_new[i] += acc_f
     return c_new, f_new
 
 
@@ -251,12 +234,12 @@ def extract_band(r: int, probe: int | None = None) -> CoupledSystem:
     """Read the stabilized band coefficients off the recursion itself.
 
     A unit state at a probe index deep in the stabilized region (default
-    2r + 2) is pushed through every row of one step of the six contribution
-    sums; the responses at offsets -r..r are the band coefficients.  Probing
-    the linear map avoids transcribing 4(2r+1) closed forms by hand.  The
-    band support |beta| <= r is verified, and the positivity of all four
-    families at beta in {-1, 0, 1} (what the spectral growth bound assumes)
-    is recorded.
+    2r + 2) is pushed through one step of the six contribution sums, which
+    visit only the nonzero inputs, so a probe costs O(r); the responses at
+    offsets -r..r are the band coefficients.  Probing the linear map avoids
+    transcribing 4(2r+1) closed forms by hand.  The band support
+    |beta| <= r is verified, and the positivity of all four families at
+    beta in {-1, 0, 1} (what the spectral growth bound assumes) is recorded.
     """
     coeffs = corner_coefficients(r)
     i0 = probe if probe is not None else 2 * r + 2

@@ -96,32 +96,6 @@ class PointSet:
         return PointSet(pts, label or f"{self.label}[{len(indices)}]")
 
 
-def order_type_signature(ps: PointSet) -> tuple[int, ...]:
-    """Orientation of every index triple (i < j < k), flattened."""
-    pts = ps.points
-    return tuple(
-        orientation(pts[i], pts[j], pts[k]).value
-        for i, j, k in combinations(range(len(pts)), 3)
-    )
-
-
-def mirror_signature(ps: PointSet) -> tuple[int, ...]:
-    """Signature of the mirror image across a vertical line."""
-    pts = [(-x, y) for x, y in reversed(ps.points)]
-    return tuple(
-        orientation(pts[i], pts[j], pts[k]).value
-        for i, j, k in combinations(range(len(pts)), 3)
-    )
-
-
-def same_order_type(p: PointSet, q: PointSet) -> bool:
-    return len(p) == len(q) and order_type_signature(p) == order_type_signature(q)
-
-
-def mirror_order_type(p: PointSet, q: PointSet) -> bool:
-    return len(p) == len(q) and order_type_signature(p) == mirror_signature(q)
-
-
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------

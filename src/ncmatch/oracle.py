@@ -321,28 +321,43 @@ def _edge_mask(tab: _Tables, edges) -> int:
     return mask
 
 
+def _runners(tab: _Tables, m: Matching) -> frozenset[int]:
+    """The runners of `m`; ValueError unless each is a point of the set."""
+    for p in m.runners:
+        if not 0 <= p < tab.n:
+            raise ValueError(f"runner {p} is not a point among 0..{tab.n - 1}")
+    return m.runners
+
+
 def is_noncrossing(ps: PointSet, m: Matching) -> bool:
+    """No two edges cross and no point is used twice (as an edge end or a
+    runner)."""
     tab = _tables(ps)
     ids = sorted(_edge_id(tab, e) for e in m.edges)
+    runners = _runners(tab, m)
     seen = 0
     for e in ids:
         if tab.cross[e] & seen:
             return False
         seen |= 1 << e
     touched = [i for e in m.edges for i in e]
-    return len(touched) == len(set(touched))
+    return len(touched) == len(set(touched)) and runners.isdisjoint(touched)
 
 
 def is_down_free(ps: PointSet, m: Matching) -> bool:
-    """Every free point sees straight down past all edges (runners exempt)."""
+    """Every free point sees straight down past all edges and every runner
+    straight up, as in the ``RHO_DOWN_FREE`` walk."""
     tab = _tables(ps)
     mask = _edge_mask(tab, m.edges)
-    return all(not (tab.below[p] & mask) for p in m.free_points(len(ps)))
+    return all(not (tab.above[p] & mask) for p in _runners(tab, m)) and all(
+        not (tab.below[p] & mask) for p in m.free_points(len(ps))
+    )
 
 
 def is_up_free(ps: PointSet, m: Matching) -> bool:
     tab = _tables(ps)
     mask = _edge_mask(tab, m.edges)
+    _runners(tab, m)  # range check only: runners belong to the down-free kind
     return all(not (tab.above[p] & mask) for p in m.free_points(len(ps)))
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .corners import CoupledSystem
+from .corners import CoupledSystem, dominant_eigenvalue
 from .quadfield import QuadNumber
 
 _Q = QuadNumber.from_rational
@@ -58,8 +58,7 @@ def eigen_data(condensed: Sequence[Sequence[int]]) -> EigenData:
     (a, b), (c, e) = condensed
     if min(a, b, c, e) <= 0:
         raise ValueError("condensed matrix must be positive")
-    disc = (a - e) * (a - e) + 4 * b * c
-    m = QuadNumber(a + e, 1, 2, disc)
+    m = dominant_eigenvalue(condensed)
     # unnormalized: left (c, M - a), right (b, M - a)
     tail = m - a
     left = (_Q(c) / (tail + c), tail / (tail + c))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -30,6 +31,20 @@ def test_table_byte_stable(capsys):
     _, first, _ = run(capsys, "table", "--max-r", "9", "--corners")
     _, second, _ = run(capsys, "table", "--max-r", "9", "--corners")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "fmt,digest",
+    [
+        ("csv", "9663c2ed84b954daf229ccd147002e9c8674836becd9fb84716ffcd568e1044b"),
+        ("json", "c5d08f9b07dcd97f09030a7bb884262ce6a94a9d687310c6cd7457b112ab1b03"),
+    ],
+)
+def test_corner_table_to_sixty_is_pinned(capsys, fmt, digest):
+    # stdout is byte-stable by contract, so these digests never move
+    code, out, _ = run(capsys, "table", "--max-r", "60", "--corners", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_growth_corners_nine_decimals(capsys):

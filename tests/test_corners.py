@@ -1,10 +1,12 @@
 import random
+from math import comb
 
 import pytest
 
+from ncmatch.chains import _parity_prefix
 from ncmatch.corners import (
+    _exact_rows,
     chain_counts,
-    coefficient_product_forms_agree,
     condensed_table,
     corner_coefficients,
     coupled_series,
@@ -37,6 +39,72 @@ RATE_FIXTURES = {
     8: 3.0930,
     9: 3.0929,
 }
+
+
+def coefficient_product_forms_agree(r: int) -> bool:
+    """The bracketed differences of corner_coefficients equal their closed
+    product forms."""
+
+    def comb0(n: int, k: int) -> int:
+        return comb(n, k) if 0 <= k <= n else 0
+
+    cc = corner_coefficients(r)
+    for a in range(r):
+        pick = comb(r - 1, a)
+        rest = r - 1 - a
+        if cc.left_in[a] != pick * comb0(rest, (rest - 1) // 2):
+            return False
+        if cc.both_in[a] != pick * comb0(rest + 1, rest // 2):
+            return False
+    return True
+
+
+def _reference_rows(c_prev, f_prev, coeffs, stop):
+    """Rows 0..stop-1 of one step, row by row from the six contribution
+    sums: every row loops over all of its window offsets."""
+    r = coeffs.r
+    Z, I, W, U = coeffs.no_corner, coeffs.left_in, coeffs.right_in, coeffs.both_in
+    pz, pi, pw, pu = map(_parity_prefix, (Z, I, W, U))
+    n = len(c_prev)
+    c_new = [0] * stop
+    f_new = [0] * stop
+    for i in range(stop):
+        acc_c = 0
+        acc_f = 0
+        # a runner from the previous corner leaves the arc to the right:
+        # alpha = i - 1 - j new runners join it
+        for a in range(min(r - 1, i - 1) + 1):
+            cp = c_prev[i - 1 - a] if i - 1 - a < n else 0
+            if cp:
+                acc_c += Z[a] * cp
+                acc_f += W[a] * cp
+        # the new corner's runner reaches back past the previous corner:
+        # all alpha arc runners must match to the left
+        for a in range(r):
+            j = i + 1 + a
+            if j < n:
+                if c_prev[j]:
+                    acc_f += I[a] * c_prev[j]
+                if f_prev[j]:
+                    acc_f += Z[a] * f_prev[j]
+        # window-coupled terms: arc runners fuse with j existing runners,
+        # |i-j| <= alpha <= min(r-1, i+j), alpha = i-j (mod 2)
+        for j in range(max(0, i - (r - 1)), min(n, i + r)):
+            cp, fp = c_prev[j], f_prev[j]
+            if not (cp or fp):
+                continue
+            lo = abs(i - j)
+            hi = min(r - 1, i + j) + 1
+            p = lo & 1
+            if cp:
+                acc_c += (pi[p][hi] - pi[p][lo]) * cp
+                acc_f += (pu[p][hi] - pu[p][lo]) * cp
+            if fp:
+                acc_c += (pz[p][hi] - pz[p][lo]) * fp
+                acc_f += (pw[p][hi] - pw[p][lo]) * fp
+        c_new[i] = acc_c
+        f_new[i] = acc_f
+    return c_new, f_new
 
 
 class TestCoefficients:
@@ -100,8 +168,6 @@ class TestBandedKernel:
 
     @pytest.mark.parametrize("r", range(1, 21))
     def test_head_width_r_is_exact_on_every_row(self, r):
-        from ncmatch.corners import _exact_rows
-
         rng = random.Random(r)
         coeffs = corner_coefficients(r)
         for n in (1, 2, r, r + 1, 2 * r + 3, 3 * r + 7):
@@ -135,6 +201,52 @@ class TestBandedKernel:
     def test_light_cone_counts_equal_full_series(self, r):
         kmax = max(4, 72 // r)
         assert chain_counts(r, kmax) == [f[0] for _, f in coupled_series(r, kmax)]
+
+
+# every stop is checked up to r = 20; at 40 and 60 the stops where a bound
+# of the column loop changes, which keeps the reference affordable
+_SIZES = list(range(1, 21)) + [40, 60]
+
+
+def _stops(r, n):
+    if r <= 20:
+        return range(n + r + 1)
+    return sorted({s for s in (0, 1, r - 1, r, r + 1, 2 * r, n - r, n - 1, n, n + 1, n + r - 1, n + r) if 0 <= s <= n + r})
+
+
+class TestExactRowsAgainstReference:
+    """_exact_rows visits only the nonzero inputs; the row-by-row reference
+    visits every window offset of every row."""
+
+    @pytest.mark.parametrize("r", _SIZES)
+    def test_unit_probes(self, r):
+        coeffs = corner_coefficients(r)
+        n = 3 * r + 4
+        zero = [0] * n
+        for idx in range(n):
+            unit = [0] * n
+            unit[idx] = 1
+            for c_vec, f_vec in ((unit, zero), (zero, unit)):
+                want_c, want_f = _reference_rows(c_vec, f_vec, coeffs, n + r)
+                for stop in _stops(r, n):
+                    assert _exact_rows(c_vec, f_vec, coeffs, stop) == (want_c[:stop], want_f[:stop])
+
+    @pytest.mark.parametrize("r", _SIZES)
+    def test_sparse_random_vectors(self, r):
+        rng = random.Random(1000 + r)
+        coeffs = corner_coefficients(r)
+        for n in (1, r, 2 * r + 3, 3 * r + 4):
+            for density in (0, 0.1, 0.5, 1):
+                draw = lambda: [rng.randrange(1, 10**30) if rng.random() < density else 0 for _ in range(n)]
+                c_vec, f_vec = draw(), draw()
+                want_c, want_f = _reference_rows(c_vec, f_vec, coeffs, n + r)
+                for stop in _stops(r, n):
+                    assert _exact_rows(c_vec, f_vec, coeffs, stop) == (want_c[:stop], want_f[:stop])
+
+    @pytest.mark.parametrize("r", range(1, 31))
+    def test_band_does_not_depend_on_the_probe(self, r):
+        systems = [extract_band(r, probe) for probe in (2 * r, 2 * r + 2, 3 * r + 5)]
+        assert systems[0] == systems[1] == systems[2]
 
 
 class TestBandExtraction:

@@ -17,14 +17,38 @@ from ncmatch.geometry import (
     make_double,
     make_rchain,
     make_zigzag,
-    mirror_order_type,
     orientation,
     place_high_above,
-    same_order_type,
     to_json_dict,
 )
 
 F = Fraction
+
+
+def order_type_signature(ps: PointSet) -> tuple[int, ...]:
+    """Orientation of every index triple (i < j < k), flattened."""
+    pts = ps.points
+    return tuple(
+        orientation(pts[i], pts[j], pts[k]).value
+        for i, j, k in combinations(range(len(pts)), 3)
+    )
+
+
+def mirror_signature(ps: PointSet) -> tuple[int, ...]:
+    """Signature of the mirror image across a vertical line."""
+    pts = [(-x, y) for x, y in reversed(ps.points)]
+    return tuple(
+        orientation(pts[i], pts[j], pts[k]).value
+        for i, j, k in combinations(range(len(pts)), 3)
+    )
+
+
+def same_order_type(p: PointSet, q: PointSet) -> bool:
+    return len(p) == len(q) and order_type_signature(p) == order_type_signature(q)
+
+
+def mirror_order_type(p: PointSet, q: PointSet) -> bool:
+    return len(p) == len(q) and order_type_signature(p) == mirror_signature(q)
 
 
 def pt(x, y):

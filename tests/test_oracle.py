@@ -177,6 +177,43 @@ class TestPredicates:
         with pytest.raises(ValueError):
             count_perfect_extensions(ps, m)
 
+    def test_runner_off_the_set_rejected(self):
+        m = Matching(frozenset({(0, 3)}), runners=frozenset({9}))
+        for predicate in (is_noncrossing, is_down_free, is_up_free):
+            with pytest.raises(ValueError):
+                predicate(make_chain(4), m)
+
+    def test_edge_end_cannot_be_a_runner(self):
+        ps = make_chain(4)
+        assert not is_noncrossing(ps, Matching(frozenset({(0, 3)}), runners=frozenset({0})))
+        assert is_noncrossing(ps, Matching(frozenset({(0, 3)}), runners=frozenset({1})))
+
+    def test_runner_under_an_edge_is_not_down_free(self):
+        # on a downward chain the edge (0, 3) covers points 1 and 2 from above
+        ps = make_chain(4)
+        for p in (1, 2):
+            assert not is_down_free(ps, Matching(frozenset({(0, 3)}), runners=frozenset({p})))
+        assert is_down_free(ps, Matching(frozenset({(0, 1)}), runners=frozenset({2, 3})))
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_rho_down_free_listing_passes_the_predicates(self, direction):
+        ps = make_chain(7, direction)
+        listed = list(matchings(ps, MatchKind.RHO_DOWN_FREE))
+        assert len(listed) == census(ps, MatchKind.RHO_DOWN_FREE).total
+        assert any(m.runners for m in listed)
+        assert all(is_noncrossing(ps, m) and is_down_free(ps, m) for m in listed)
+        # and the predicates accept nothing else: every runner choice on
+        # every non-crossing matching
+        accepted = set()
+        for base in matchings(ps, MatchKind.ALL):
+            unmatched = base.free_points(len(ps))
+            for k in range(len(unmatched) + 1):
+                for runners in combinations(unmatched, k):
+                    m = Matching(base.edges, frozenset(runners))
+                    if is_down_free(ps, m):
+                        accepted.add(m)
+        assert accepted == set(listed)
+
     def test_lister_agrees_with_census(self):
         ps = make_zigzag(7, Parity.EVEN)
         listed = list(matchings(ps, MatchKind.DOWN_FREE))
