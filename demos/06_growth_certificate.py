@@ -3,9 +3,11 @@
 The upper bound M^k is one line (column sums).  For the lower bound, clipped
 concave quadratic profiles form a sub-eigenvector pair: applying the
 recursion to them gains at least a factor M - eps, componentwise and in
-exact arithmetic.  Building one takes a gap search over the squared-integer
-value set; verifying one is a piecewise-quadratic sign check, so supports of
-millions of indices cost nothing.
+exact arithmetic.  Building one picks the peak from the squared-integer value
+set in closed form (each root family's gap is affine in its index);
+verifying one folds -(M - eps) into each row's own band and sign-checks the
+resulting piecewise quadratic, so supports of millions of indices cost
+nothing.
 """
 
 from fractions import Fraction

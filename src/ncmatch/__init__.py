@@ -57,7 +57,6 @@ from .zigzag import (
 from .chains import (
     BandMatrix,
     arc_count,
-    arc_counts,
     best_arc_size,
     excursion_growth,
     excursions,

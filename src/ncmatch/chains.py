@@ -62,10 +62,6 @@ def arc_count(r: int, i: int, kind: ArcKind = "down-free") -> int:
     return comb(r, i) * tail
 
 
-def arc_counts(r: int, kind: ArcKind = "down-free") -> list[int]:
-    return list(_arc_counts_cached(r, kind))
-
-
 @lru_cache(maxsize=None)
 def _arc_counts_cached(r: int, kind: ArcKind) -> tuple[int, ...]:
     return tuple(arc_count(r, i, kind) for i in range(r + 1))
@@ -139,6 +135,8 @@ def runner_counts(r: int, k: int) -> list[int]:
     Support is exactly r*k + 1 wide, which makes the nominally infinite
     recursion finite and exact.
     """
+    if r < 1:
+        raise ValueError("r must be positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
     vec = [1]
@@ -149,6 +147,8 @@ def runner_counts(r: int, k: int) -> list[int]:
 
 def runner_series(r: int, kmax: int) -> list[list[int]]:
     """[v_0, ..., v_kmax] of runner_counts, in one pass of the recursion."""
+    if r < 1:
+        raise ValueError("r must be positive")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     series = [[1]]
@@ -164,8 +164,8 @@ def runner_step(vec: Sequence[int], r: int) -> list[int]:
     counts.  From row r on every window reaches r, so rows below r are
     evaluated from the windows and the rest is the stabilized Toeplitz band.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    if r < 1:
+        raise ValueError("r must be positive")
     prefix, band = _runner_tables(r)
     head = lambda stop: [_runner_rows(vec, r, prefix, stop)]
     return _banded_step((vec,), ((band,),), head)[0]

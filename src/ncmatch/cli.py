@@ -193,6 +193,8 @@ def cmd_growth(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.max_r < 1:
+        raise CliError("max-r must be positive")
     if args.corners:
         header = ["r", "cc", "cf", "fc", "ff", "rate"]
         table = []
@@ -201,10 +203,10 @@ def cmd_table(args) -> int:
             table.append([r, a, b, c, e, f"{rate:.4f}"])
     else:
         header = ["r", "growth_factor", "rate"]
-        table = [
-            [r, chains.growth_factor(r), f"{float(chains.growth_factor(r)) ** (1.0 / r):.4f}"]
-            for r in range(1, args.max_r + 1)
-        ]
+        table = []
+        for r in range(1, args.max_r + 1):
+            lam = chains.growth_factor(r)
+            table.append([r, lam, f"{float(lam) ** (1.0 / r):.4f}"])
     _emit(args, _tabular(args.format, header, table))
     return 0
 

@@ -221,14 +221,6 @@ class CoupledSystem:
     jumps: tuple[tuple[int, int], tuple[int, int]]
     positive_core: bool
 
-    def bands(self) -> dict[str, tuple[int, ...]]:
-        return {
-            "CC": self.band_cc,
-            "CF": self.band_cf,
-            "FC": self.band_fc,
-            "FF": self.band_ff,
-        }
-
 
 def extract_band(r: int, probe: int | None = None) -> CoupledSystem:
     """Read the stabilized band coefficients off the recursion itself.

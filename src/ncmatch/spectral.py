@@ -17,19 +17,21 @@ Pipeline, all in one quadratic field Q(sqrt(disc)):
    independent of the position, the peak height p, and the shift s.
 6. ``build_certificate``: pick p from the sorted value set
    {i^2} union {(i - delta)^2} whose gap to its predecessor is at least
-   K / (epsilon * min pi); after shifting right by s >= sqrt(p) + delta and
-   clipping negatives to zero, every surviving entry is at least K / epsilon
-   and the clipped pair (xbar, ybar) satisfies, componentwise,
+   K / (epsilon * min pi); each root family's gap is affine in its index,
+   so p is found in closed form.  After shifting right by s >= sqrt(p) +
+   delta and clipping negatives to zero, every surviving entry is at least
+   K / epsilon and the clipped pair (xbar, ybar) satisfies, componentwise,
 
        apply(xbar, ybar) >= (M - epsilon) * (xbar, ybar),
 
    which is the machine-checkable core of the exponential lower bound.
-7. ``verify_certificate``: exact componentwise check of that inequality.
-   Between consecutive clipping breakpoints both sides are quadratics in the
-   index, so each stretch is decided by exact sign tests at its endpoints
-   (or at the vertex when convex); every index of the support plus a
-   bandwidth margin is covered without materializing the vectors, whose
-   support can run to millions of entries.
+7. ``verify_certificate``: exact componentwise check of that inequality,
+   with -(M - epsilon) folded into each row's own diagonal band.  Between
+   consecutive clipping breakpoints each row's band sum is a quadratic in
+   the index, so each stretch is decided by exact sign tests at its
+   endpoints (or at the vertex when convex); every index of the support
+   plus a bandwidth margin is covered without materializing the vectors,
+   whose support can run to millions of entries.
 """
 
 from __future__ import annotations
@@ -257,8 +259,8 @@ def _gap_requirement(resc: RescaledSystem, epsilon: Fraction, k_const: QuadNumbe
     return k_const / (_Q(epsilon) * pi_min)
 
 
-def _value_set_neighbors(delta: QuadNumber, m: int) -> list[tuple[QuadNumber, QuadNumber]]:
-    """Sorted (value, sqrt) pairs of the value set inside [(m-1)^2, (m+2)^2]."""
+def _value_set_neighbors(delta: QuadNumber, m: int) -> list[QuadNumber]:
+    """Sorted values of the value set inside [(m-1)^2, (m+2)^2]."""
     roots = []
     for j in (m - 1, m, m + 1, m + 2):
         if j >= 0:
@@ -267,73 +269,43 @@ def _value_set_neighbors(delta: QuadNumber, m: int) -> list[tuple[QuadNumber, Qu
             roots.append(_Q(j) - delta)
         if j + delta >= 0:
             roots.append(_Q(j) + delta)
-    vals = sorted({(rt * rt, rt) for rt in roots}, key=lambda t: t[0])
-    return [(v, rt) for v, rt in vals]
+    return sorted({rt * rt for rt in roots})
 
 
 def gap_search(
     delta: QuadNumber, need: QuadNumber
 ) -> tuple[QuadNumber, QuadNumber, QuadNumber]:
-    """Smallest-ish value p of {i^2} union {(i - delta)^2} whose gap to its
-    predecessor in the sorted set is at least `need`; returns (p, sqrt(p), gap).
+    """Least value p of {i^2} union {(i - delta)^2}, over roots at least 1, whose
+    gap to its predecessor in the sorted set is at least `need`; returns
+    (p, sqrt(p), gap).
 
-    Because the set elements near j^2 are the squares of j, j +- delta, and
-    j + 1 -+ delta, each predecessor gap is linear in j; the minimal j per
-    family is solved in closed form and the winner is re-verified against
-    the actual neighborhood, so the result is exact even near family ties.
+    Near an integer m >= 1 the roots are m + q for q in (delta - 1, -delta, 0,
+    delta, 1 - delta).  Each root family m + o, o in {0, delta, 1 - delta},
+    therefore sits a fixed step = o - max(q < o) above its predecessor, and
+    its gap step * (2(m + o) - step) is affine in m: the least m per family
+    is solved in closed form.  The winner's gap is re-read from the actual
+    neighbourhood by ``_predecessor``, an independent check of the algebra.
     """
     if not (_Q(0) < delta < _Q(1)):
         raise ValueError("shift constant outside (0, 1) is not supported")
-    # per family, the root of value(m); every root is at least m
-    families = [
-        lambda m: _Q(m) + delta,      # (m+delta)^2 over m^2-ish
-        lambda m: _Q(m + 1) - delta,  # (m+1-delta)^2
-        _Q,                           # m^2
-    ]
-    # Distinct roots j, j +- delta lie at least sigma apart, so the gap below
-    # root**2 is at least root**2 - (root - sigma)**2 >= sigma * root: every
-    # m >= need / sigma passes, which bounds the doubling.
-    sigma = min(v for v in (delta, 1 - delta, abs(1 - 2 * delta)) if v.sign() > 0)
-    ceiling = max(1, (need / sigma).ceil())
-    best: tuple[QuadNumber, QuadNumber] | None = None
-    for root_of in families:
-        lo = m = 1
-        # coarse doubling then linear refinement keeps this exact and O(log)
-        while not _gap_ok(delta, root_of(m), need):
-            if m >= ceiling:
-                raise AssertionError("gap search passed its proven ceiling")
-            lo, m = m, min(2 * m, ceiling)
-        hi = m
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if _gap_ok(delta, root_of(mid), need):
-                hi = mid
-            else:
-                lo = mid
-        m = hi if not _gap_ok(delta, root_of(lo), need) else lo
-        while m > 1 and _gap_ok(delta, root_of(m - 1), need):
-            m -= 1
-        root = root_of(m)
-        value = root * root
-        if best is None or value < best[0]:
-            best = (value, root)
-    assert best is not None
-    value, root = best
+    offsets = (_Q(0), delta, 1 - delta)
+    near = (delta - 1, -delta, *offsets)
+    roots = []
+    for o in offsets:
+        step = o - max(q for q in near if q < o)
+        m = max(1, ((need / step - 2 * o + step) / 2).ceil())
+        roots.append(o + m)
+    root = min(roots)
+    value = root * root
     gap = value - _predecessor(delta, value, root)
+    if gap < need:
+        raise AssertionError("closed-form peak misses the gap requirement")
     return value, root, gap
 
 
 def _predecessor(delta: QuadNumber, value: QuadNumber, root: QuadNumber) -> QuadNumber:
-    m = root.floor()
-    cands = [v for v, _ in _value_set_neighbors(delta, m) if v < value]
-    if not cands:
-        return _Q(0)
-    return max(cands)
-
-
-def _gap_ok(delta: QuadNumber, root: QuadNumber, need: QuadNumber) -> bool:
-    value = root * root
-    return value - _predecessor(delta, value, root) >= need
+    below = (v for v in _value_set_neighbors(delta, root.floor()) if v < value)
+    return max(below, default=_Q(0))
 
 
 def build_certificate(
@@ -396,83 +368,59 @@ def _open_interval_ints(lo: QuadNumber, hi: QuadNumber) -> tuple[int, int]:
 def verify_certificate(resc: RescaledSystem, cert: SubEigenCertificate) -> bool:
     """Exact componentwise check of apply >= (M - eps) * profile, both rows.
 
-    Every integer index is covered: between clipping breakpoints each side
-    is one quadratic in the index, decided by evaluations at the stretch
-    ends (concave case) or around the vertex (convex case).  False is a
+    The right-hand side is one more band term: -(M - eps) joins offset 0 of
+    each row's own diagonal band (xx for row X, yy for row Y), so each row
+    checks that a banded sum of the two clipped profiles is nonnegative.
+    Every integer index is covered: between clipping breakpoints that sum is
+    one quadratic in the index, decided by evaluations at the stretch ends
+    (concave case) or around the vertex (convex case).  False is a
     legitimate outcome, not an error.
     """
     r = resc.r
-    rows = (
-        (resc.xx, resc.xy, True),
-        (resc.yx, resc.yy, False),
-    )
     m_eps = resc.m - _Q(cert.epsilon)
-    for band_x, band_y, lhs_is_x in rows:
-        lhs_support = cert.support_x if lhs_is_x else cert.support_y
-        breaks = set()
-        for off in range(2 * r + 1):
-            beta = off - r
-            for bound in cert.support_x:
-                breaks.update((bound - beta, bound - beta + 1))
-            for bound in cert.support_y:
-                breaks.update((bound - beta, bound - beta + 1))
-        breaks.update(lhs_support)
-        breaks.update((lhs_support[0] + 1, lhs_support[1] + 1))
-        marks = sorted(breaks)
-        segments = [(marks[0] - 1, marks[0] - 1)]
-        for a, b in zip(marks, marks[1:] + [marks[-1] + 1]):
-            segments.append((a, b - 1))
-        segments.append((marks[-1] + 1, marks[-1] + 1))
+    own = lambda band: band[:r] + (band[r] - m_eps,) + band[r + 1 :]
+    profiles = (
+        (cert.support_x, -cert.s, resc.pi[0]),
+        (cert.support_y, cert.delta - cert.s, resc.pi[1]),
+    )
+    # i + beta enters or leaves a support at bound - beta (+ 1)
+    marks = sorted({
+        bound - beta + e
+        for sup, _, _ in profiles
+        for bound in sup
+        for beta in range(-r, r + 1)
+        for e in (0, 1)
+    })
+    segments = [(marks[0] - 1, marks[0] - 1)]
+    segments += [(a, b - 1) for a, b in zip(marks, marks[1:] + [marks[-1] + 1])]
+    segments.append((marks[-1] + 1, marks[-1] + 1))
+    # row-major: all of row X, then row Y
+    for bands in ((own(resc.xx), resc.xy), (resc.yx, own(resc.yy))):
+        terms = tuple(zip(bands, profiles))
         for lo, hi in segments:
-            if hi < lo:
-                continue
-            if not _segment_ok(resc, cert, band_x, band_y, lhs_is_x, m_eps, lo, hi):
+            if not _segment_ok(r, cert.p, terms, lo, hi):
                 return False
     return True
 
 
-def _segment_ok(resc, cert, band_x, band_y, lhs_is_x, m_eps, lo, hi) -> bool:
-    """Check RHS - LHS >= 0 for all integers in [lo, hi] (fixed clip pattern)."""
-    r = resc.r
-    zero = _Q(0)
-    q2 = q1 = q0 = zero
-    pix, piy = resc.pi
-
-    def add_profile(coef: QuadNumber, center: QuadNumber, scale: QuadNumber):
-        # coef * scale * (p - (i + center)^2), accumulated into q2, q1, q0
-        nonlocal q2, q1, q0
-        w = coef * scale
-        q2 = q2 - w
-        q1 = q1 - 2 * w * center
-        q0 = q0 + w * (cert.p - center * center)
-
-    for off in range(2 * r + 1):
-        beta = off - r
-        if cert.support_x[0] <= lo + beta and hi + beta <= cert.support_x[1]:
-            add_profile(band_x[off], _Q(beta) - cert.s, pix)
-        elif not (hi + beta < cert.support_x[0] or lo + beta > cert.support_x[1]):
-            raise AssertionError("segment straddles a clip boundary")
-        if cert.support_y[0] <= lo + beta and hi + beta <= cert.support_y[1]:
-            add_profile(band_y[off], _Q(beta) - cert.s + cert.delta, piy)
-        elif not (hi + beta < cert.support_y[0] or lo + beta > cert.support_y[1]):
-            raise AssertionError("segment straddles a clip boundary")
-    lhs_sup = cert.support_x if lhs_is_x else cert.support_y
-    if lhs_sup[0] <= lo and hi <= lhs_sup[1]:
-        center = -cert.s if lhs_is_x else (-cert.s + cert.delta)
-        scale = pix if lhs_is_x else piy
-        # subtracting the LHS flips the sign of one profile term
-        w = m_eps * scale
-        q2 = q2 + w
-        q1 = q1 + 2 * w * center
-        q0 = q0 - w * (cert.p - center * center)
-    elif not (hi < lhs_sup[0] or lo > lhs_sup[1]):
-        raise AssertionError("segment straddles the profile boundary")
+def _segment_ok(r, p, terms, lo, hi) -> bool:
+    """Check the row's band sum >= 0 for all integers in [lo, hi] (fixed clip pattern)."""
+    s0 = s1 = s2 = _Q(0)
+    for band, ((first, last), shift, scale) in terms:
+        for beta, coef in enumerate(band, -r):
+            if first <= lo + beta and hi + beta <= last:
+                # coef * scale * (p - (i + c)^2): moments w, w c, w c^2
+                w, c = coef * scale, shift + beta
+                wc = w * c
+                s0, s1, s2 = s0 + w, s1 + wc, s2 + wc * c
+            elif not (hi + beta < first or lo + beta > last):
+                raise AssertionError("segment straddles a clip boundary")
+    # the sum of w (p - (i + c)^2) is q2 i^2 + q1 i + q0
+    q2, q1, q0 = -s0, -2 * s1, p * s0 - s2
 
     def val(i: int) -> QuadNumber:
         return (q2 * i + q1) * i + q0
 
-    if q2.sign() == 0 and q1.sign() == 0:
-        return q0.sign() >= 0
     if q2.sign() <= 0:
         return val(lo).sign() >= 0 and val(hi).sign() >= 0
     vertex = -q1 / (2 * q2)

@@ -4,7 +4,6 @@ import pytest
 
 from ncmatch.chains import (
     arc_count,
-    arc_counts,
     best_arc_size,
     excursion_growth,
     excursions,
@@ -17,6 +16,11 @@ from ncmatch.chains import (
 )
 from ncmatch.geometry import Direction, make_chain, make_rchain
 from ncmatch.oracle import MatchKind, census, census_runners
+
+
+def arc_counts(r, kind="down-free"):
+    return [arc_count(r, i, kind) for i in range(r + 1)]
+
 
 TABLE_GROWTH = [3, 9, 28, 87, 271, 843, 2619, 8123, 25153, 77763, 240054,
                 740017, 2278329, 7006093, 21520872, 66039651, 202462113,
@@ -151,6 +155,17 @@ class TestBandedKernel:
             runner_series(3, -1)
         with pytest.raises(ValueError):
             runner_step([1], -1)
+
+    @pytest.mark.parametrize("r", [0, -1, -3])
+    def test_arc_size_below_one_rejected(self, r):
+        # r = 0 would run a silent all-ones recursion; k = 0 takes no step
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="r must be positive"):
+                runner_counts(r, k)
+            with pytest.raises(ValueError, match="r must be positive"):
+                runner_series(r, k)
+        with pytest.raises(ValueError, match="r must be positive"):
+            runner_step([1], r)
 
 
 class TestGrowthFactors:

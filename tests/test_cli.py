@@ -118,6 +118,36 @@ def test_subeig_small(capsys):
     assert data["support_x"][0] >= 1
 
 
+@pytest.mark.parametrize(
+    "r,eps,digest",
+    [
+        (1, "1/10", "9b9ca0f191035712c408238133590e9e946d4de301ec16ff5df03460d688f8df"),
+        (1, "1/100", "521e3eea8e5110258ea6f28d0214c84065973323b7604acde82b8f4834476ec0"),
+        (2, "1/10", "000089c336401ab67463a8a4cbfa811238da2ced62030f10fe41d1b914dc9ca1"),
+        (2, "1/100", "4a8fe6e80aae0cc88d6be4ad7b8ba481f80d1d5cd2aa462f43b062fe8bca647a"),
+        (3, "1/10", "001f6c78f724c9fcf0fbef28d0ef6b1f92059cbd693e80b56629bf759c7938c3"),
+        (3, "1/100", "bd25e0609ef276592ad7837d39724a497bcbd150bed67d7aa5369aaf76da4a8e"),
+        (4, "1/10", "2fa4459597b76e42ccd8e0326d55f83ee6590a011c5839888d1e48f0660f117f"),
+        (4, "1/100", "c43bdf445529edd255cb525bc87e9e5df7c5ecf8a44fc31a2fc2fef92f2c5632"),
+        (5, "1/10", "b94324444e7904d74de8949629969e68cbaa88d97de00c60e1faa26b765b1635"),
+        (5, "1/100", "b8a3d89e40ea92e0d435f388d8f23431e63e01664981617891bc15cb504aa4ff"),
+        (6, "1/10", "939a475393ec41b16437e1bf2ae802adbd2d671a5bcb6236f20c927fd7791e07"),
+        (6, "1/100", "d7088c89aea0f3cd90aef5de4d5d01fd69627a47ccd0e3f24cb9cbdafa91b68a"),
+        (7, "1/10", "1e39a158682d98590c8469c494217e4e17a2bcd1c334cf8dedfedbaa8812f827"),
+        (7, "1/100", "d510f2859984a77e38d1f091aee58c96845f813b374153fa807edd78392d5b12"),
+        (8, "1/10", "5f3015d7dc8706460ed268621c101014858ad8da236d33278ca291d8f2909108"),
+        (8, "1/100", "211ffecd873d0007436fb2d74b4d1102facd54ccf7adf63ad4ea6093ec9fefea"),
+        (2, "5", "4ddb4b58c6961981d1ee59b65f14ce0764d0292c4b12c7e6cdb824dc232b5f4c"),
+        (2, "1000000000", "c10131cc98a8632c4f9ee8184c4d2109665573735b5a524cf3d68980f7c94732"),
+    ],
+)
+def test_subeig_output_is_pinned(capsys, r, eps, digest):
+    # at eps 5 and 10**9 the peak sits at the head of the value set
+    code, out, _ = run(capsys, "subeig", "--r", str(r), "--epsilon", eps)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_subeig_bad_epsilon(capsys):
     code, _, err = run(capsys, "subeig", "--r", "2", "--epsilon", "zero")
     assert code == 2
@@ -185,6 +215,23 @@ def test_double_pm_negative_rejected(capsys):
     assert code == 2
     assert out == ""
     assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("kmax", ["0", "3"])
+@pytest.mark.parametrize("r", ["0", "-2"])
+def test_recurse_rchain_arc_size_below_one_is_usage_error(capsys, r, kmax):
+    code, out, err = run(capsys, "recurse", "--family", "rchain", "--r", r, "--kmax", kmax)
+    assert code == 2 and out == ""
+    assert "r must be positive" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("extra", [[], ["--corners"]])
+@pytest.mark.parametrize("max_r", ["0", "-3"])
+def test_table_max_r_below_one_is_usage_error(capsys, max_r, extra, fmt):
+    code, out, err = run(capsys, "table", "--max-r", max_r, *extra, "--format", fmt)
+    assert code == 2 and out == ""
+    assert "max-r must be positive" in err
 
 
 @pytest.mark.parametrize("extra", [[], ["--corners"]])

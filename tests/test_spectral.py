@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +8,9 @@ import pytest
 from ncmatch.corners import CoupledSystem, extract_band
 from ncmatch.quadfield import QuadNumber
 from ncmatch.spectral import (
+    RescaledSystem,
+    SubEigenCertificate,
+    _gap_requirement,
     build_certificate,
     certificate_from_peak,
     eigen_data,
@@ -227,3 +233,302 @@ class TestCertificates:
         threshold = cert.k_const / Q(cert.epsilon)
         for i in (lo, (lo + hi) // 2, hi):
             assert cert.xbar(resc, i) >= threshold
+
+
+# ---------------------------------------------------------------------------
+# the previous gap search (doubling, bisection, walk-down) and row check
+# (separate LHS term), kept verbatim under new names as references
+# ---------------------------------------------------------------------------
+
+_Q = QuadNumber.from_rational
+
+
+def _reference_neighbors(delta: QuadNumber, m: int) -> list[tuple[QuadNumber, QuadNumber]]:
+    """Sorted (value, sqrt) pairs of the value set inside [(m-1)^2, (m+2)^2]."""
+    roots = []
+    for j in (m - 1, m, m + 1, m + 2):
+        if j >= 0:
+            roots.append(_Q(j))
+        if j - delta >= 0:
+            roots.append(_Q(j) - delta)
+        if j + delta >= 0:
+            roots.append(_Q(j) + delta)
+    vals = sorted({(rt * rt, rt) for rt in roots}, key=lambda t: t[0])
+    return [(v, rt) for v, rt in vals]
+
+
+def _reference_gap_search(
+    delta: QuadNumber, need: QuadNumber
+) -> tuple[QuadNumber, QuadNumber, QuadNumber]:
+    """Smallest-ish value p of {i^2} union {(i - delta)^2} whose gap to its
+    predecessor in the sorted set is at least `need`; returns (p, sqrt(p), gap).
+
+    Because the set elements near j^2 are the squares of j, j +- delta, and
+    j + 1 -+ delta, each predecessor gap is linear in j; the minimal j per
+    family is solved in closed form and the winner is re-verified against
+    the actual neighborhood, so the result is exact even near family ties.
+    """
+    if not (_Q(0) < delta < _Q(1)):
+        raise ValueError("shift constant outside (0, 1) is not supported")
+    # per family, the root of value(m); every root is at least m
+    families = [
+        lambda m: _Q(m) + delta,      # (m+delta)^2 over m^2-ish
+        lambda m: _Q(m + 1) - delta,  # (m+1-delta)^2
+        _Q,                           # m^2
+    ]
+    # Distinct roots j, j +- delta lie at least sigma apart, so the gap below
+    # root**2 is at least root**2 - (root - sigma)**2 >= sigma * root: every
+    # m >= need / sigma passes, which bounds the doubling.
+    sigma = min(v for v in (delta, 1 - delta, abs(1 - 2 * delta)) if v.sign() > 0)
+    ceiling = max(1, (need / sigma).ceil())
+    best: tuple[QuadNumber, QuadNumber] | None = None
+    for root_of in families:
+        lo = m = 1
+        # coarse doubling then linear refinement keeps this exact and O(log)
+        while not _reference_gap_ok(delta, root_of(m), need):
+            if m >= ceiling:
+                raise AssertionError("gap search passed its proven ceiling")
+            lo, m = m, min(2 * m, ceiling)
+        hi = m
+        while lo + 1 < hi:
+            mid = (lo + hi) // 2
+            if _reference_gap_ok(delta, root_of(mid), need):
+                hi = mid
+            else:
+                lo = mid
+        m = hi if not _reference_gap_ok(delta, root_of(lo), need) else lo
+        while m > 1 and _reference_gap_ok(delta, root_of(m - 1), need):
+            m -= 1
+        root = root_of(m)
+        value = root * root
+        if best is None or value < best[0]:
+            best = (value, root)
+    assert best is not None
+    value, root = best
+    gap = value - _reference_predecessor(delta, value, root)
+    return value, root, gap
+
+
+def _reference_predecessor(delta: QuadNumber, value: QuadNumber, root: QuadNumber) -> QuadNumber:
+    m = root.floor()
+    cands = [v for v, _ in _reference_neighbors(delta, m) if v < value]
+    if not cands:
+        return _Q(0)
+    return max(cands)
+
+
+def _reference_gap_ok(delta: QuadNumber, root: QuadNumber, need: QuadNumber) -> bool:
+    value = root * root
+    return value - _reference_predecessor(delta, value, root) >= need
+
+
+def _reference_verify(resc: RescaledSystem, cert: SubEigenCertificate) -> bool:
+    """Exact componentwise check of apply >= (M - eps) * profile, both rows.
+
+    Every integer index is covered: between clipping breakpoints each side
+    is one quadratic in the index, decided by evaluations at the stretch
+    ends (concave case) or around the vertex (convex case).  False is a
+    legitimate outcome, not an error.
+    """
+    r = resc.r
+    rows = (
+        (resc.xx, resc.xy, True),
+        (resc.yx, resc.yy, False),
+    )
+    m_eps = resc.m - _Q(cert.epsilon)
+    for band_x, band_y, lhs_is_x in rows:
+        lhs_support = cert.support_x if lhs_is_x else cert.support_y
+        breaks = set()
+        for off in range(2 * r + 1):
+            beta = off - r
+            for bound in cert.support_x:
+                breaks.update((bound - beta, bound - beta + 1))
+            for bound in cert.support_y:
+                breaks.update((bound - beta, bound - beta + 1))
+        breaks.update(lhs_support)
+        breaks.update((lhs_support[0] + 1, lhs_support[1] + 1))
+        marks = sorted(breaks)
+        segments = [(marks[0] - 1, marks[0] - 1)]
+        for a, b in zip(marks, marks[1:] + [marks[-1] + 1]):
+            segments.append((a, b - 1))
+        segments.append((marks[-1] + 1, marks[-1] + 1))
+        for lo, hi in segments:
+            if hi < lo:
+                continue
+            if not _reference_segment_ok(resc, cert, band_x, band_y, lhs_is_x, m_eps, lo, hi):
+                return False
+    return True
+
+
+def _reference_segment_ok(resc, cert, band_x, band_y, lhs_is_x, m_eps, lo, hi) -> bool:
+    """Check RHS - LHS >= 0 for all integers in [lo, hi] (fixed clip pattern)."""
+    r = resc.r
+    zero = _Q(0)
+    q2 = q1 = q0 = zero
+    pix, piy = resc.pi
+
+    def add_profile(coef: QuadNumber, center: QuadNumber, scale: QuadNumber):
+        # coef * scale * (p - (i + center)^2), accumulated into q2, q1, q0
+        nonlocal q2, q1, q0
+        w = coef * scale
+        q2 = q2 - w
+        q1 = q1 - 2 * w * center
+        q0 = q0 + w * (cert.p - center * center)
+
+    for off in range(2 * r + 1):
+        beta = off - r
+        if cert.support_x[0] <= lo + beta and hi + beta <= cert.support_x[1]:
+            add_profile(band_x[off], _Q(beta) - cert.s, pix)
+        elif not (hi + beta < cert.support_x[0] or lo + beta > cert.support_x[1]):
+            raise AssertionError("segment straddles a clip boundary")
+        if cert.support_y[0] <= lo + beta and hi + beta <= cert.support_y[1]:
+            add_profile(band_y[off], _Q(beta) - cert.s + cert.delta, piy)
+        elif not (hi + beta < cert.support_y[0] or lo + beta > cert.support_y[1]):
+            raise AssertionError("segment straddles a clip boundary")
+    lhs_sup = cert.support_x if lhs_is_x else cert.support_y
+    if lhs_sup[0] <= lo and hi <= lhs_sup[1]:
+        center = -cert.s if lhs_is_x else (-cert.s + cert.delta)
+        scale = pix if lhs_is_x else piy
+        # subtracting the LHS flips the sign of one profile term
+        w = m_eps * scale
+        q2 = q2 + w
+        q1 = q1 + 2 * w * center
+        q0 = q0 - w * (cert.p - center * center)
+    elif not (hi < lhs_sup[0] or lo > lhs_sup[1]):
+        raise AssertionError("segment straddles the profile boundary")
+
+    def val(i: int) -> QuadNumber:
+        return (q2 * i + q1) * i + q0
+
+    if q2.sign() == 0 and q1.sign() == 0:
+        return q0.sign() >= 0
+    if q2.sign() <= 0:
+        return val(lo).sign() >= 0 and val(hi).sign() >= 0
+    vertex = -q1 / (2 * q2)
+    lo_v = max(lo, min(hi, vertex.floor()))
+    hi_v = max(lo, min(hi, vertex.floor() + 1))
+    return val(lo_v).sign() >= 0 and val(hi_v).sign() >= 0
+
+
+SQRT2 = QuadNumber(0, 1, 1, 2)
+SYNTHETIC_DELTAS = [Q(Fraction(1, 2)), Q(Fraction(1, 3)), Q(Fraction(2, 3)), SQRT2 - 1, SQRT2 / 2]
+# below 1 the least index of a family can fall under 1, so max(1, ...) binds
+SMALL_NEEDS = [Fraction(0), Fraction(1, 1000), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2),
+               Fraction(9, 10)]
+
+
+@functools.lru_cache(maxsize=None)
+def _rescaled(r):
+    return rescale(extract_band(r))
+
+
+def _need(resc, eps):
+    delta = shift_constant(resc)
+    qx, qy = residual_constants(resc, delta)
+    return delta, _gap_requirement(resc, eps, qx if qx >= qy else qy)
+
+
+def _assert_same_peak(delta, need):
+    # stored forms, not just values: subeig prints them
+    got = [x.as_tuple() for x in gap_search(delta, need)]
+    assert got == [x.as_tuple() for x in _reference_gap_search(delta, need)], need
+
+
+def _random_deltas(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if rng.random() < 0.5:
+            den = rng.randrange(2, 500)
+            out.append(Q(Fraction(rng.randrange(1, den), den)))
+        else:
+            d = rng.choice([2, 3, 5, 6, 7, 10, 11, 13, 93, 69945633])
+            x = QuadNumber(rng.randrange(-50, 50), rng.randrange(1, 20), rng.randrange(1, 30), d)
+            x = x - x.floor()
+            if x.sign() > 0:
+                out.append(x)
+    return out
+
+
+class TestGapSearchAgainstReference:
+    """The closed form equals the previous searching implementation."""
+
+    @pytest.mark.parametrize("r", range(2, 13))
+    def test_real_deltas(self, r):
+        resc = _rescaled(r)
+        for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000), Fraction(1, 7),
+                    Fraction(3, 2)):
+            _assert_same_peak(*_need(resc, eps))
+
+    @pytest.mark.parametrize("delta", SYNTHETIC_DELTAS, ids=["1/2", "1/3", "2/3", "r2-1", "r2/2"])
+    def test_synthetic_deltas(self, delta):
+        for need in [*SMALL_NEEDS, *range(1, 200)]:
+            _assert_same_peak(delta, Q(need))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_random_deltas(self, seed):
+        rng = random.Random(1000 + seed)
+        for delta in _random_deltas(seed, 30):
+            big = Fraction(rng.randrange(1, 10**6), rng.randrange(1, 50))
+            scale = Fraction(rng.randrange(1, 10**4), rng.randrange(1, 50))
+            for need in (Q(rng.choice(SMALL_NEEDS)), Q(big), (delta + rng.randrange(100)) * scale):
+                _assert_same_peak(delta, need)
+
+    def test_delta_outside_unit_interval_rejected(self):
+        for delta in (Q(0), Q(1), Q(-1) / 3, SQRT2):
+            with pytest.raises(ValueError):
+                gap_search(delta, Q(5))
+
+
+def _verify_cases(r, epsilons):
+    """Certificates that do and do not verify, for one r."""
+    resc = _rescaled(r)
+    delta = shift_constant(resc)
+    for eps in epsilons:
+        cert = build_certificate(resc, eps)
+        yield cert
+        yield dataclasses.replace(cert, epsilon=cert.epsilon / 1000)
+        yield dataclasses.replace(cert, p=cert.p * Fraction(9, 10))
+        yield dataclasses.replace(cert, p=cert.p + 1)
+        # The Y profile moved k indices away: only then does a breakpoint one
+        # past an upper bound miss the other support's breakpoints.  With a
+        # huge epsilon no row can fail early, so every segment is checked.
+        for k in (3 * r + 3, -3 * r - 3):
+            sup = (cert.support_y[0] + k, cert.support_y[1] + k)
+            moved = dataclasses.replace(cert, delta=cert.delta - k, support_y=sup)
+            yield moved
+            yield dataclasses.replace(moved, epsilon=Fraction(10**6))
+    yield certificate_from_peak(resc, Fraction(1, 10), (1 + delta) ** 2, 1 + delta)
+    for j in range(2, 39, 3):
+        yield certificate_from_peak(resc, Fraction(1, 100), (j + delta) ** 2, j + delta)
+
+
+class TestVerifyAgainstReference:
+    """The one-loop row check gives the previous verdict on every case."""
+
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_certificates_and_controls(self, r):
+        resc = _rescaled(r)
+        verdicts = []
+        for cert in _verify_cases(r, (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000),
+                                      Fraction(3, 2))):
+            verdict = verify_certificate(resc, cert)
+            assert verdict == _reference_verify(resc, cert)
+            verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_moved_band_coefficients(self, r):
+        resc = _rescaled(r)
+        cert = build_certificate(resc, Fraction(1, 10))
+        verdicts = []
+        for name in ("xx", "xy", "yx", "yy"):
+            band = getattr(resc, name)
+            for off in range(2 * r + 1):
+                for move in (Fraction(1, 50), Fraction(-1, 50)):
+                    moved = band[:off] + (band[off] + move,) + band[off + 1 :]
+                    mutated = dataclasses.replace(resc, **{name: moved})
+                    verdict = verify_certificate(mutated, cert)
+                    assert verdict == _reference_verify(mutated, cert), (name, off, move)
+                    verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
