@@ -58,6 +58,13 @@ def _load_config(args) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict) or not isinstance(cfg.get("caps", {}), dict):
         raise CliError('config: expected a JSON object like {"caps": {"all": 18}}')
+    kinds = {k.value for k in MatchKind}
+    for key, cap in cfg.get("caps", {}).items():
+        if key not in kinds:
+            raise CliError(f"config: unknown cap {key!r}; expected one of {', '.join(sorted(kinds))}")
+        # bool is an int subclass, so test the exact type
+        if type(cap) is not int or cap < 0:
+            raise CliError(f"config: cap {key!r} must be a nonnegative integer, not {cap!r}")
     return cfg
 
 
@@ -339,7 +346,7 @@ def _verify_double(max_points: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if args.family == "zigzag":
         results = _verify_zigzag(args.max_points)
     elif args.family == "rchain":
@@ -358,7 +365,7 @@ def cmd_verify(args) -> int:
         "all_pass": all(r["pass"] for r in results),
     }
     if args.timings:
-        report["elapsed_seconds"] = round(time.time() - started, 3)
+        report["elapsed_seconds"] = round(time.perf_counter() - started, 3)
     _emit(args, _json(report))
     return 0 if report["all_pass"] else 1
 

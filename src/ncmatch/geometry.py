@@ -73,13 +73,14 @@ class PointSet:
         return iter(self.points)
 
     def validate(self) -> "PointSet":
+        where = f"{self.label}: " if self.label else ""
         xs = [p[0] for p in self.points]
         for u, v in zip(xs, xs[1:]):
             if not u < v:
-                raise ValueError(f"{self.label}: x-coordinates not strictly increasing")
+                raise ValueError(f"{where}x-coordinates not strictly increasing")
         for a, b, c in combinations(self.points, 3):
             if orientation(a, b, c) is Orientation.COLLINEAR:
-                raise ValueError(f"{self.label}: collinear triple {a}, {b}, {c}")
+                raise ValueError(f"{where}collinear triple {a}, {b}, {c}")
         return self
 
     def translated(self, dx: Fraction, dy: Fraction) -> "PointSet":

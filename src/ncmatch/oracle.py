@@ -4,8 +4,13 @@ This is the ground-truth engine: it never uses the counting recursions it is
 meant to check.  All geometry is resolved up front, by integer determinants
 once the denominators are cleared, into bitmask tables (segment crossings,
 which edges block a point's vertical rays).  One backtracking sweep over the
-points in x-order, using only bitmask tests, hands each matching to a leaf
+points in x-order, using only bitmask tests, hands each *skeleton* to a leaf
 fold (tally, list or count), so exactness costs nothing inside the hot loop.
+A skeleton is a matching up to its *loose* points: unmatched points that
+may be either free or a runner because no edge passes over them (only
+``RHO_DOWN_FREE`` has any).  The sweep marks them instead of branching on
+them, and the fold expands a skeleton with b loose points into the C(b, t)
+matchings with t of them runners.
 
 Matching kinds:
 
@@ -28,7 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import count
-from math import lcm
+from math import comb, lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .geometry import DoubleSet, PointSet
@@ -178,10 +183,14 @@ def _walk(
     ok_edge: Optional[int] = None,
 ) -> None:
     """Call ``leaf(edges, runners)``, bitmasks over edge ids and points, once
-    per matching of `kind`.
+    per skeleton of a matching of `kind`.
 
     Each unused point, in x-order, is left free, made a runner, or matched to
-    a later point.  `used` and `edges` fix points and edges from the start;
+    a later point.  A point that may be either free or a runner is marked
+    loose instead, by bit n + i of `runners`, and the leaf expands it; bits
+    below n are the runners every matching of the skeleton has.  Every edge
+    over a point is added before the walk reaches it, so the choice is final
+    there.  `used` and `edges` fix points and edges from the start;
     `ok_edge`, when given, masks the edges that may be added.
     """
     n = tab.n
@@ -203,8 +212,11 @@ def _walk(
             return
         ubit = 1 << i
         if free_block is not None and not (free_block[i] & edges):
-            walk(i + 1, used, edges, runners)
-        if runner_block is not None and not (runner_block[i] & edges):
+            if runner_block is not None and not (runner_block[i] & edges):
+                walk(i + 1, used, edges, runners | ubit << n)  # loose
+            else:
+                walk(i + 1, used, edges, runners)
+        elif runner_block is not None and not (runner_block[i] & edges):
             walk(i + 1, used, edges, runners | ubit)
         for jbit, ebit, crossing in moves[i]:
             if used & jbit or crossing & edges:
@@ -231,24 +243,41 @@ class _Decoded(dict):
         return decoded
 
 
+def _skeletons(tab: _Tables, kind: MatchKind) -> dict[tuple[int, int], int]:
+    """(edge count, runner mask) -> number of walk leaves with them."""
+    tally: dict[tuple[int, int], int] = {}
+
+    def leaf(edges: int, runners: int) -> None:
+        key = (edges.bit_count(), runners)
+        tally[key] = tally.get(key, 0) + 1
+
+    _walk(tab, kind, leaf)
+    return tally
+
+
+def _runner_counts(mask: int, n: int) -> Iterator[tuple[int, int]]:
+    """(runner count, matchings) over the expansion of one skeleton's runner
+    mask: its forced runners plus any t of its b loose points, C(b, t) ways."""
+    r, b = (mask & ((1 << n) - 1)).bit_count(), (mask >> n).bit_count()
+    return ((r + t, comb(b, t)) for t in range(b + 1))
+
+
 def census(ps: PointSet, kind: MatchKind, cap: Optional[int] = None) -> MatchingCensus:
     """Count all matchings of the requested kind, exactly."""
     _check_cap(ps, kind, cap)
     tab = _tables(ps)
-    tally: dict[tuple[int, int], int] = {}  # (edge count, runner count) -> matchings
-
-    def leaf(edges: int, runners: int) -> None:
-        key = (edges.bit_count(), runners.bit_count())
-        tally[key] = tally.get(key, 0) + 1
-
-    _walk(tab, kind, leaf)
-    by_free_and_runners = {(tab.n - 2 * e - r, r): cnt for (e, r), cnt in tally.items()}
+    n = tab.n
+    by_free_and_runners: dict[tuple[int, int], int] = {}
+    for (e, mask), cnt in _skeletons(tab, kind).items():
+        for r, ways in _runner_counts(mask, n):
+            key = (n - 2 * e - r, r)
+            by_free_and_runners[key] = by_free_and_runners.get(key, 0) + ways * cnt
     by_free: dict[int, int] = {}
     by_runners: dict[int, int] = {}
     for (f, r), cnt in by_free_and_runners.items():
         by_free[f] = by_free.get(f, 0) + cnt
         by_runners[r] = by_runners.get(r, 0) + cnt
-    return MatchingCensus(sum(tally.values()), by_free, by_runners, by_free_and_runners)
+    return MatchingCensus(sum(by_free_and_runners.values()), by_free, by_runners, by_free_and_runners)
 
 
 def census_runners(ps: PointSet, cap: Optional[int] = None) -> list[int]:
@@ -270,19 +299,18 @@ def census_corner_split(
     """
     _check_cap(ps, MatchKind.RHO_DOWN_FREE, cap)
     tab = _tables(ps)
-    # no edge passes over the rightmost point, so its runner is never blocked
-    last = 1 << (tab.n - 1) if tab.n else 0
+    n = tab.n
+    # no edge passes over the rightmost point, so when unmatched it is loose:
+    # its bit in a runner mask is n + (n - 1)
+    last = 1 << (2 * n - 1) if n else 0
     marked: dict[int, int] = {}
     unmarked: dict[int, int] = {}
-
-    def leaf(edges: int, runners: int) -> None:
-        i = runners.bit_count()
-        if runners & last:
-            marked[i - 1] = marked.get(i - 1, 0) + 1
-        else:
-            unmarked[i] = unmarked.get(i, 0) + 1
-
-    _walk(tab, MatchKind.RHO_DOWN_FREE, leaf)
+    for (_, mask), cnt in _skeletons(tab, MatchKind.RHO_DOWN_FREE).items():
+        split = mask & last  # a runner there or free there, same count each
+        for r, ways in _runner_counts(mask ^ split, n):
+            unmarked[r] = unmarked.get(r, 0) + ways * cnt
+            if split:
+                marked[r] = marked.get(r, 0) + ways * cnt
     dense = lambda d: [d.get(i, 0) for i in range(max(d, default=0) + 1)]
     return dense(marked), dense(unmarked)
 
@@ -290,12 +318,32 @@ def census_corner_split(
 def matchings(
     ps: PointSet, kind: MatchKind, cap: Optional[int] = None
 ) -> Iterator[Matching]:
-    """Yield every matching of the requested kind (for sampling in tests)."""
+    """Yield every matching of the requested kind (for sampling in tests).
+
+    A ``RHO_DOWN_FREE`` listing comes one skeleton at a time, every runner
+    choice on its loose points together, so its order is not the order of
+    a walk that branches at each loose point.  The other kinds have no loose
+    point and come in walk order.
+    """
     _check_cap(ps, kind, cap)
     tab = _tables(ps)
-    edge_sets, runner_sets = _Decoded(tab.pairs), _Decoded(range(tab.n))
+    n = tab.n
+    low = (1 << n) - 1
+    edge_sets, runner_sets = _Decoded(tab.pairs), _Decoded(range(n))
     found: list[Matching] = []
-    _walk(tab, kind, lambda e, r: found.append(Matching(edge_sets[e], runner_sets[r])))
+
+    def leaf(e: int, r: int) -> None:
+        if r <= low:  # no loose point
+            found.append(Matching(edge_sets[e], runner_sets[r]))
+            return
+        edges, forced, loose, sub = edge_sets[e], r & low, r >> n, 0
+        while True:  # every subset of the loose points, as runners
+            found.append(Matching(edges, runner_sets[forced | sub]))
+            if sub == loose:
+                return
+            sub = (sub - loose) & loose
+
+    _walk(tab, kind, leaf)
     yield from found
 
 

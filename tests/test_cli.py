@@ -251,6 +251,29 @@ def test_count_config_must_be_an_object(tmp_path, capsys, config):
     assert "config" in err
 
 
+@pytest.mark.parametrize(
+    "caps",
+    [{"down-free": "18"}, {"down-free": True}, {"down-free": 2.5}, {"down-free": -1},
+     {"down-free": None}, {"downfree": 18}, {"all": 18, "every": 18}],
+    ids=["string", "bool", "float", "negative", "null", "unknown-key", "one-unknown-key"],
+)
+def test_count_config_caps_are_validated(tmp_path, capsys, caps):
+    pts, cfg = tmp_path / "pts.json", tmp_path / "cfg.json"
+    run(capsys, "gen", "--family", "chain", "--n", "5", "--out", str(pts))
+    cfg.write_text(json.dumps({"caps": caps}))
+    code, out, err = run(capsys, "count", "--input", str(pts), "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("ncmatch: config: ") and err.count("\n") == 1
+
+
+def test_count_config_caps_of_other_kinds_are_accepted(tmp_path, capsys):
+    pts, cfg = tmp_path / "pts.json", tmp_path / "cfg.json"
+    run(capsys, "gen", "--family", "chain", "--n", "5", "--out", str(pts))
+    cfg.write_text(json.dumps({"caps": {"down-free": 5, "all": 0, "rho-down-free": 16}}))
+    code, out, _ = run(capsys, "count", "--input", str(pts), "--config", str(cfg))
+    assert code == 0 and json.loads(out)["total"] == "21"
+
+
 def test_count_config_caps_apply(tmp_path, capsys):
     pts, cfg = tmp_path / "pts.json", tmp_path / "cfg.json"
     run(capsys, "gen", "--family", "chain", "--n", "12", "--out", str(pts))
@@ -278,6 +301,14 @@ def test_count_malformed_point_json_is_usage_error(tmp_path, capsys, data):
     code, out, err = run(capsys, "count", "--input", str(path))
     assert code == 2 and out == ""
     assert err.startswith("ncmatch: ") and "Traceback" not in err
+
+
+def test_unlabelled_set_error_has_no_empty_prefix(tmp_path, capsys):
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps({"points": [[0, 1, 0, 1], [0, 1, 1, 1]]}))
+    code, out, err = run(capsys, "count", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "ncmatch: x-coordinates not strictly increasing\n"
 
 
 def test_count_missing_input_file_is_usage_error(tmp_path, capsys):

@@ -227,6 +227,22 @@ class TestJson:
         with pytest.raises(ValueError):
             from_json_dict(bad)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0, 1, 0, 1], [0, 1, 1, 1]], "x-coordinates not strictly increasing"),
+            ([[0, 1, 0, 1], [1, 1, 0, 1], [2, 1, 0, 1]], "collinear triple"),
+        ],
+        ids=["equal-x", "collinear"],
+    )
+    def test_error_prefix_is_the_label_when_there_is_one(self, rows, message):
+        with pytest.raises(ValueError) as unlabelled:
+            from_json_dict({"points": rows})
+        assert str(unlabelled.value).startswith(message)
+        with pytest.raises(ValueError) as labelled:
+            from_json_dict({"label": "pts", "points": rows})
+        assert str(labelled.value).startswith(f"pts: {message}")
+
 
 def test_general_position_scan_small_sizes():
     for n in range(1, 11):

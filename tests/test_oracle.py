@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
@@ -33,7 +34,7 @@ from ncmatch.oracle import (
     is_up_free,
     matchings,
 )
-from ncmatch.oracle import _tables
+from ncmatch.oracle import _tables, _walk
 
 from conftest import globalize, halves_maps
 
@@ -195,24 +196,54 @@ class TestPredicates:
             assert not is_down_free(ps, Matching(frozenset({(0, 3)}), runners=frozenset({p})))
         assert is_down_free(ps, Matching(frozenset({(0, 1)}), runners=frozenset({2, 3})))
 
-    @pytest.mark.parametrize("direction", list(Direction))
-    def test_rho_down_free_listing_passes_the_predicates(self, direction):
-        ps = make_chain(7, direction)
+    @pytest.mark.parametrize(
+        "make",
+        [lambda d=d: make_chain(7, d) for d in Direction]
+        + [lambda seed=seed, n=n: _random_general_position(random.Random(seed), n)
+           for seed, n in ((61, 6), (71, 7), (81, 8), (91, 9))],
+        ids=[str(d) for d in Direction] + ["random-6", "random-7", "random-8", "random-9"],
+    )
+    def test_rho_down_free_listing_passes_the_predicates(self, make):
+        ps = make()
+        n = len(ps)
         listed = list(matchings(ps, MatchKind.RHO_DOWN_FREE))
         assert len(listed) == census(ps, MatchKind.RHO_DOWN_FREE).total
         assert any(m.runners for m in listed)
         assert all(is_noncrossing(ps, m) and is_down_free(ps, m) for m in listed)
-        # and the predicates accept nothing else: every runner choice on
-        # every non-crossing matching
+        # the second route: every runner choice on every non-crossing
+        # matching, one at a time, kept when the predicates accept it
         accepted = set()
         for base in matchings(ps, MatchKind.ALL):
-            unmatched = base.free_points(len(ps))
+            unmatched = base.free_points(n)
             for k in range(len(unmatched) + 1):
                 for runners in combinations(unmatched, k):
                     m = Matching(base.edges, frozenset(runners))
                     if is_down_free(ps, m):
                         accepted.add(m)
-        assert accepted == set(listed)
+        assert len(listed) == len(accepted) and set(listed) == accepted
+        tally = Counter((len(m.free_points(n)), len(m.runners)) for m in accepted)
+        assert census(ps, MatchKind.RHO_DOWN_FREE).by_free_and_runners == dict(tally)
+        marked = Counter(len(m.runners) - 1 for m in accepted if n - 1 in m.runners)
+        unmarked = Counter(len(m.runners) for m in accepted if n - 1 not in m.runners)
+        dense = lambda c: [c[i] for i in range(max(c, default=0) + 1)]
+        assert census_corner_split(ps) == (dense(marked), dense(unmarked))
+
+    def test_rho_down_free_walk_has_one_leaf_per_skeleton(self):
+        # each point no edge passes over is marked loose, not branched on:
+        # a walk with one leaf per matching has 170,573 leaves here
+        leaves = count()
+        _walk(_tables(make_zigzag(12)), MatchKind.RHO_DOWN_FREE, lambda edges, runners: next(leaves))
+        assert next(leaves) == 20_229
+
+    @pytest.mark.parametrize("kind", [k for k in MatchKind if k is not MatchKind.RHO_DOWN_FREE])
+    def test_listing_without_loose_points_is_in_walk_order(self, kind):
+        ps = make_zigzag(8, Parity.EVEN)
+        tab = _tables(ps)
+        leaves = []
+        _walk(tab, kind, lambda edges, runners: leaves.append((edges, runners)))
+        assert all(runners == 0 for _, runners in leaves)
+        edge_sets = [frozenset(p for k, p in enumerate(tab.pairs) if edges >> k & 1) for edges, _ in leaves]
+        assert list(matchings(ps, kind)) == [Matching(e) for e in edge_sets]
 
     def test_lister_agrees_with_census(self):
         ps = make_zigzag(7, Parity.EVEN)
