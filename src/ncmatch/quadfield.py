@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import exp, gcd, isqrt, log, prod
 from typing import Union
 
 _Rational = Union[int, Fraction]
@@ -295,10 +295,18 @@ class QuadNumber:
         return float(self.approx())
 
     def root_float(self, n: int) -> float:
-        """Float n-th root of a nonnegative value (diagnostic precision)."""
+        """Float n-th root of a nonnegative value (diagnostic precision).
+
+        A value past the float range is rooted through the logarithms of the
+        exact numerator and denominator of its rational approximation.
+        """
         if self.sign() < 0:
             raise ValueError("negative value has no real even root here")
-        return float(self.approx()) ** (1.0 / n)
+        x = self.approx()
+        try:
+            return float(x) ** (1.0 / n)
+        except OverflowError:
+            return exp((log(x.numerator) - log(x.denominator)) / n)
 
     def __float__(self):
         return self.to_float()

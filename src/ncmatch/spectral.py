@@ -9,12 +9,14 @@ Pipeline, all in one quadratic field Q(sqrt(disc)):
 3. ``rescale``: scale the cross coefficients by the left-eigenvector ratio
    so both condensed column sums become exactly M (left eigenvector (1,1)).
 4. ``shift_constant``: the horizontal offset delta between the two quadratic
-   profile functions; its two defining quotients agree exactly iff the
-   drift vanishes.
+   profiles.  A band meets a profile only through its moments s0, s1, s2
+   (``_add_moments``): a row's band sum at i is p s0 - s0 i^2 - 2 s1 i - s2.
+   Each row's s1 is affine in delta; the two roots agree iff no drift.
 5. ``residual_constants``: with profiles h_X(t) = pi_X (p - t^2) and
    h_Y(t) = pi_Y (p - (t + delta)^2), the amount by which (h_X, h_Y) misses
    being an M-eigenvector of the band operator is a constant per row,
-   independent of the position, the peak height p, and the shift s.
+   independent of the position, the peak height p, and the shift s
+   (s0 = s1 = 0 exactly, with -M folded in); the constant is s2.
 6. ``build_certificate``: pick p from the sorted value set
    {i^2} union {(i - delta)^2} whose gap to its predecessor is at least
    K / (epsilon * min pi); each root family's gap is affine in its index,
@@ -26,12 +28,12 @@ Pipeline, all in one quadratic field Q(sqrt(disc)):
 
    which is the machine-checkable core of the exponential lower bound.
 7. ``verify_certificate``: exact componentwise check of that inequality,
-   with -(M - epsilon) folded into each row's own diagonal band.  Between
-   consecutive clipping breakpoints each row's band sum is a quadratic in
-   the index, so each stretch is decided by exact sign tests at its
-   endpoints (or at the vertex when convex); every index of the support
-   plus a bandwidth margin is covered without materializing the vectors,
-   whose support can run to millions of entries.
+   with -(M - epsilon) folded into each row's own band.  Between
+   consecutive clipping breakpoints each row's band sum is the quadratic of
+   the moments of the offsets inside the supports, decided by exact sign
+   tests at its endpoints (or at the vertex when convex); every index of the
+   support plus a bandwidth margin is covered without materializing the
+   vectors, whose support can run to millions of entries.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .corners import CoupledSystem, dominant_eigenvalue
 from .quadfield import QuadNumber
 
 _Q = QuadNumber.from_rational
+_NO_MOMENTS = (_Q(0),) * 3
 
 
 @dataclass(frozen=True)
@@ -107,12 +110,6 @@ class RescaledSystem:
     m: QuadNumber
     pi: tuple[QuadNumber, QuadNumber]
 
-    def jump(self, band: Sequence[QuadNumber]) -> QuadNumber:
-        acc = _Q(0)
-        for off, v in enumerate(band):
-            acc = acc + v * (off - self.r)
-        return acc
-
     def column_sums(self) -> tuple[QuadNumber, QuadNumber]:
         tot = lambda band: sum(band[1:], band[0])
         return tot(self.xx) + tot(self.yx), tot(self.xy) + tot(self.yy)
@@ -149,69 +146,72 @@ def _pi_norm(eig: EigenData) -> QuadNumber:
     return eig.left[0] * eig.right[0] + eig.left[1] * eig.right[1]
 
 
+def _add_moments(acc, band, scale, shift, betas):
+    """Add to acc = (s0, s1, s2) the moments (sum w, sum w c, sum w c^2) of
+    w = band[beta] * scale, c = shift + beta over beta in betas: the terms
+    w (p - (i + c)^2) of a row's band sum at i, which is p s0 - s0 i^2 -
+    2 s1 i - s2.  The only place where a band meets a quadratic profile.
+    """
+    s0, s1, s2 = acc
+    r = len(band) // 2
+    for beta in betas:
+        w, c = band[r + beta] * scale, shift + beta
+        wc = w * c
+        s0, s1, s2 = s0 + w, s1 + wc, s2 + wc * c
+    return s0, s1, s2
+
+
+def _row_bands(resc: RescaledSystem, epsilon: Fraction | int):
+    """Each row's (X-profile band, Y-profile band) with -(M - epsilon) folded
+    into offset 0 of its own band (xx for row X, yy for row Y)."""
+    r, m_eps = resc.r, resc.m - _Q(epsilon)
+    own = lambda band: band[:r] + (band[r] - m_eps,) + band[r + 1 :]
+    return (own(resc.xx), resc.xy), (resc.yx, own(resc.yy))
+
+
 def shift_constant(resc: RescaledSystem) -> QuadNumber:
     """The relative horizontal shift of the two quadratic profiles.
 
-    Both displayed quotients are evaluated; they agree exactly precisely
-    when the weighted drift vanishes, and disagreement aborts (the
-    certificate machinery is meaningless with drift).
+    With -M folded into its own band, each row's s1 at s = 0 is affine in
+    delta, s1(0) + delta * s0_Y (s0_Y: the moment of its Y-profile terms);
+    the two rows' roots agree exactly precisely when the weighted drift
+    vanishes, and disagreement aborts (the certificate machinery is
+    meaningless with drift).
     """
-    pix, piy = resc.pi
-    dxx, dxy = resc.jump(resc.xx), resc.jump(resc.xy)
-    dyx, dyy = resc.jump(resc.yx), resc.jump(resc.yy)
-    sum_band = lambda band: sum(band[1:], band[0])
-    axy, ayy = sum_band(resc.xy), sum_band(resc.yy)
-    first = (pix * dxx + piy * dxy) / (-(piy * axy))
-    second = -(pix * dyx + piy * dyy) / (piy * (ayy - resc.m))
+    betas = range(-resc.r, resc.r + 1)
+    roots = []
+    for band_x, band_y in _row_bands(resc, 0):
+        mx = _add_moments(_NO_MOMENTS, band_x, resc.pi[0], 0, betas)
+        my = _add_moments(_NO_MOMENTS, band_y, resc.pi[1], 0, betas)
+        roots.append(-(mx[1] + my[1]) / my[0])
+    first, second = roots
     if first != second:
         raise ValueError("nonzero drift: the two shift-constant forms disagree")
     return first
 
 
-def _profile_x(resc, p, s, i) -> QuadNumber:
-    t = i - s if isinstance(i, QuadNumber) else _Q(i) - s
-    return resc.pi[0] * (p - t * t)
-
-
-def _profile_y(resc, delta, p, s, i) -> QuadNumber:
-    t = (i - s if isinstance(i, QuadNumber) else _Q(i) - s) + delta
-    return resc.pi[1] * (p - t * t)
-
-
 def residual_constants(
-    resc: RescaledSystem,
-    delta: Optional[QuadNumber] = None,
-    probes: Optional[list[tuple[int, int, int]]] = None,
+    resc: RescaledSystem, delta: Optional[QuadNumber] = None
 ) -> tuple[QuadNumber, QuadNumber]:
     """Row-wise eigen-residuals of the quadratic profiles: constants.
 
-    Evaluates  M h(i) - sum_beta band[beta] h(i + beta)  on a grid of
-    (i, p, s) probes and insists on exact agreement; disagreement means the
-    shift constant or eigen-data is wrong.  Returns (Q_X, Q_Y).
+    M h(i) - sum_beta band[beta] h(i + beta) is minus the row's band sum with
+    -M folded into its own band: -p s0 + s0 t^2 + 2 s1 t + s2, t = i - s, in
+    the moments at s = 0.  That is constant in i, p and s exactly when
+    s0 = s1 = 0 (what any (i, p, s) probe grid pins), which is insisted on;
+    else the shift constant or eigen-data is wrong.  Returns the rows' s2.
     """
     if delta is None:
         delta = shift_constant(resc)
-    r = resc.r
-    if probes is None:
-        probes = [
-            (i, p, s) for i in (3 * r, 3 * r + 1, 5 * r) for p in (10, 100) for s in (0, 7)
-        ]
-    qx = qy = None
-    for i, p, s in probes:
-        pq, sq = _Q(p), _Q(s)
-        hx = lambda j: _profile_x(resc, pq, sq, j)
-        hy = lambda j: _profile_y(resc, delta, pq, sq, j)
-        acc_x = resc.m * hx(i)
-        acc_y = resc.m * hy(i)
-        for off in range(2 * r + 1):
-            beta = off - r
-            acc_x = acc_x - resc.xx[off] * hx(i + beta) - resc.xy[off] * hy(i + beta)
-            acc_y = acc_y - resc.yx[off] * hx(i + beta) - resc.yy[off] * hy(i + beta)
-        if qx is None:
-            qx, qy = acc_x, acc_y
-        elif acc_x != qx or acc_y != qy:
-            raise AssertionError("profile residual is not constant across probes")
-    return qx, qy
+    betas = range(-resc.r, resc.r + 1)
+    out = []
+    for band_x, band_y in _row_bands(resc, 0):
+        acc = _add_moments(_NO_MOMENTS, band_x, resc.pi[0], 0, betas)
+        s0, s1, s2 = _add_moments(acc, band_y, resc.pi[1], delta, betas)
+        if s0 or s1:
+            raise AssertionError("profile residual is not constant in the position")
+        out.append(s2)
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +243,11 @@ class SubEigenCertificate:
     support_y: tuple[int, int]
 
     def xbar(self, resc: RescaledSystem, i: int) -> QuadNumber:
-        v = _profile_x(resc, self.p, self.s, i)
+        v = resc.pi[0] * (self.p - (i - self.s) ** 2)
         return v if v.sign() > 0 else _Q(0)
 
     def ybar(self, resc: RescaledSystem, i: int) -> QuadNumber:
-        v = _profile_y(resc, self.delta, self.p, self.s, i)
+        v = resc.pi[1] * (self.p - (i - self.s + self.delta) ** 2)
         return v if v.sign() > 0 else _Q(0)
 
     def support_width(self) -> int:
@@ -368,17 +368,14 @@ def _open_interval_ints(lo: QuadNumber, hi: QuadNumber) -> tuple[int, int]:
 def verify_certificate(resc: RescaledSystem, cert: SubEigenCertificate) -> bool:
     """Exact componentwise check of apply >= (M - eps) * profile, both rows.
 
-    The right-hand side is one more band term: -(M - eps) joins offset 0 of
-    each row's own diagonal band (xx for row X, yy for row Y), so each row
-    checks that a banded sum of the two clipped profiles is nonnegative.
+    With -(M - eps) folded into each row's own band (``_row_bands``), each
+    row checks that a banded sum of the two clipped profiles is nonnegative.
     Every integer index is covered: between clipping breakpoints that sum is
     one quadratic in the index, decided by evaluations at the stretch ends
     (concave case) or around the vertex (convex case).  False is a
     legitimate outcome, not an error.
     """
     r = resc.r
-    m_eps = resc.m - _Q(cert.epsilon)
-    own = lambda band: band[:r] + (band[r] - m_eps,) + band[r + 1 :]
     profiles = (
         (cert.support_x, -cert.s, resc.pi[0]),
         (cert.support_y, cert.delta - cert.s, resc.pi[1]),
@@ -395,7 +392,7 @@ def verify_certificate(resc: RescaledSystem, cert: SubEigenCertificate) -> bool:
     segments += [(a, b - 1) for a, b in zip(marks, marks[1:] + [marks[-1] + 1])]
     segments.append((marks[-1] + 1, marks[-1] + 1))
     # row-major: all of row X, then row Y
-    for bands in ((own(resc.xx), resc.xy), (resc.yx, own(resc.yy))):
+    for bands in _row_bands(resc, cert.epsilon):
         terms = tuple(zip(bands, profiles))
         for lo, hi in segments:
             if not _segment_ok(r, cert.p, terms, lo, hi):
@@ -405,17 +402,17 @@ def verify_certificate(resc: RescaledSystem, cert: SubEigenCertificate) -> bool:
 
 def _segment_ok(r, p, terms, lo, hi) -> bool:
     """Check the row's band sum >= 0 for all integers in [lo, hi] (fixed clip pattern)."""
-    s0 = s1 = s2 = _Q(0)
+    acc = _NO_MOMENTS
     for band, ((first, last), shift, scale) in terms:
-        for beta, coef in enumerate(band, -r):
-            if first <= lo + beta and hi + beta <= last:
-                # coef * scale * (p - (i + c)^2): moments w, w c, w c^2
-                w, c = coef * scale, shift + beta
-                wc = w * c
-                s0, s1, s2 = s0 + w, s1 + wc, s2 + wc * c
-            elif not (hi + beta < first or lo + beta > last):
-                raise AssertionError("segment straddles a clip boundary")
-    # the sum of w (p - (i + c)^2) is q2 i^2 + q1 i + q0
+        # i + beta lies in [first, last] for every i in [lo, hi] exactly when
+        # beta is in `inside`, and for some i exactly when beta is in `meets`
+        inside = range(max(-r, first - lo), min(r, last - hi) + 1)
+        meets = range(max(-r, first - hi), min(r, last - lo) + 1)
+        if len(inside) != len(meets):
+            raise AssertionError("segment straddles a clip boundary")
+        acc = _add_moments(acc, band, scale, shift, inside)
+    s0, s1, s2 = acc
+    # the band sum p s0 - s0 i^2 - 2 s1 i - s2 is q2 i^2 + q1 i + q0
     q2, q1, q0 = -s0, -2 * s1, p * s0 - s2
 
     def val(i: int) -> QuadNumber:

@@ -1,9 +1,13 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from ncmatch.cli import main
+from ncmatch.quadfield import QuadNumber
+
+Q = QuadNumber.from_rational
 
 
 def run(capsys, *argv):
@@ -51,6 +55,32 @@ def test_growth_corners_nine_decimals(capsys):
     code, out, _ = run(capsys, "growth", "--r", "8", "--corners")
     assert code == 0
     assert json.loads(out)["base_per_point"] == "3.093005695"
+
+
+def _bracketed_by_rate(value, rate: str, r: int) -> bool:
+    """(x - 1e-9)^r < value < (x + 1e-9)^r for the printed 9-decimal rate x."""
+    x, ulp = Fraction(rate), Fraction(1, 10**9)
+    return Q((x - ulp) ** r) < value < Q((x + ulp) ** r)
+
+
+@pytest.mark.parametrize("r", [644, 645, 700])
+def test_growth_past_float_range(capsys, r):
+    code, out, _ = run(capsys, "growth", "--r", str(r))
+    assert code == 0
+    data = json.loads(out)
+    assert _bracketed_by_rate(Q(int(data["growth_factor"])), data["base_per_point"], r)
+
+
+@pytest.mark.parametrize("r", [644, 645, 700])
+def test_growth_corners_past_float_range(capsys, r):
+    code, out, _ = run(capsys, "growth", "--r", str(r), "--corners")
+    assert code == 0
+    data = json.loads(out)
+    m = QuadNumber(*(data["eigenvalue_exact"][k] for k in "abcd"))
+    assert _bracketed_by_rate(m, data["base_per_point"], r)
+    if r >= 645:  # past the float range the display is m itself, rounded
+        assert abs(m - Q(Fraction(data["eigenvalue"]))) <= Q(Fraction(1, 2 * 10**6))
+        assert len(data["eigenvalue"].split(".")[1]) == 6
 
 
 def test_growth_zigzag(capsys):
@@ -203,11 +233,13 @@ def test_recurse_rchain_rows_are_consecutive_steps(capsys):
         prev = vec
 
 
-def test_verify_with_no_cases_is_usage_error(capsys):
-    code, out, err = run(capsys, "verify", "--family", "rchain", "--max-points", "0")
+@pytest.mark.parametrize("max_points", ["-3", "0", "1"])
+@pytest.mark.parametrize("family", ["zigzag", "rchain", "rchain-corners", "double"])
+def test_verify_with_no_cases_is_usage_error(capsys, family, max_points):
+    code, out, err = run(capsys, "verify", "--family", family, "--max-points", max_points)
     assert code == 2
-    assert "all_pass" not in out
-    assert "no case to verify" in err
+    assert out == ""
+    assert err == f"ncmatch: --max-points {max_points} leaves no case to verify\n"
 
 
 def test_double_pm_negative_rejected(capsys):

@@ -74,6 +74,17 @@ def test_to_float_precision():
     assert abs(M8.root_float(8) - 3.093005695) < 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 3, 100, 1000])
+def test_root_float_past_float_range(n):
+    # M8**n for n >= 100 does not fit a float; the root comes from logarithms
+    big = M8 ** n
+    got = big.root_float(n)
+    assert abs(got - M8.to_float()) < 1e-9 * M8.to_float()
+    if n >= 100:
+        with pytest.raises(OverflowError):
+            big.to_float()
+
+
 @given(
     st.integers(-50, 50),
     st.integers(-50, 50),

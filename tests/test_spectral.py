@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -102,9 +103,8 @@ class TestRescale:
     def test_rescaled_drift_sum_form_vanishes(self):
         resc = rescale(extract_band(8))
         pix, piy = resc.pi
-        total = pix * (resc.jump(resc.xx) + resc.jump(resc.yx)) + piy * (
-            resc.jump(resc.xy) + resc.jump(resc.yy)
-        )
+        jump = lambda band: sum(((off - resc.r) * v for off, v in enumerate(band)), Q(0))
+        total = pix * (jump(resc.xx) + jump(resc.yx)) + piy * (jump(resc.xy) + jump(resc.yy))
         assert total.sign() == 0
 
 
@@ -139,17 +139,6 @@ class TestResidualConstants:
         resc = rescale(SYMMETRIC_TOY)
         qx, qy = residual_constants(resc)
         assert qx == 2 and qy == 2
-
-    @pytest.mark.parametrize("r", [2, 8])
-    def test_constant_across_probe_grid(self, r):
-        resc = rescale(extract_band(r))
-        delta = shift_constant(resc)
-        base = residual_constants(resc, delta)
-        wide = residual_constants(
-            resc, delta,
-            probes=[(i, p, s) for i in (3 * r, 3 * r + 1, 5 * r) for p in (10, 100) for s in (0, 7)],
-        )
-        assert base == wide
 
     def test_positive_for_eight_chain(self):
         resc = rescale(extract_band(8))
@@ -532,3 +521,170 @@ class TestVerifyAgainstReference:
                     assert verdict == _reference_verify(mutated, cert), (name, off, move)
                     verdicts.append(verdict)
         assert True in verdicts and False in verdicts
+
+
+# ---------------------------------------------------------------------------
+# the previous shift constant (jump sums over band sums) and residual
+# constants (profiles evaluated on an (i, p, s) probe grid), kept verbatim
+# under new names as references; ``RescaledSystem.jump`` is now
+# ``_reference_jump``
+# ---------------------------------------------------------------------------
+
+
+def _reference_jump(resc, band):
+    acc = _Q(0)
+    for off, v in enumerate(band):
+        acc = acc + v * (off - resc.r)
+    return acc
+
+
+def _reference_shift_constant(resc: RescaledSystem) -> QuadNumber:
+    """The relative horizontal shift of the two quadratic profiles.
+
+    Both displayed quotients are evaluated; they agree exactly precisely
+    when the weighted drift vanishes, and disagreement aborts (the
+    certificate machinery is meaningless with drift).
+    """
+    pix, piy = resc.pi
+    dxx, dxy = _reference_jump(resc, resc.xx), _reference_jump(resc, resc.xy)
+    dyx, dyy = _reference_jump(resc, resc.yx), _reference_jump(resc, resc.yy)
+    sum_band = lambda band: sum(band[1:], band[0])
+    axy, ayy = sum_band(resc.xy), sum_band(resc.yy)
+    first = (pix * dxx + piy * dxy) / (-(piy * axy))
+    second = -(pix * dyx + piy * dyy) / (piy * (ayy - resc.m))
+    if first != second:
+        raise ValueError("nonzero drift: the two shift-constant forms disagree")
+    return first
+
+
+def _reference_profile_x(resc, p, s, i) -> QuadNumber:
+    t = i - s if isinstance(i, QuadNumber) else _Q(i) - s
+    return resc.pi[0] * (p - t * t)
+
+
+def _reference_profile_y(resc, delta, p, s, i) -> QuadNumber:
+    t = (i - s if isinstance(i, QuadNumber) else _Q(i) - s) + delta
+    return resc.pi[1] * (p - t * t)
+
+
+def _reference_residual_constants(
+    resc: RescaledSystem,
+    delta: Optional[QuadNumber] = None,
+    probes: Optional[list[tuple[int, int, int]]] = None,
+) -> tuple[QuadNumber, QuadNumber]:
+    """Row-wise eigen-residuals of the quadratic profiles: constants.
+
+    Evaluates  M h(i) - sum_beta band[beta] h(i + beta)  on a grid of
+    (i, p, s) probes and insists on exact agreement; disagreement means the
+    shift constant or eigen-data is wrong.  Returns (Q_X, Q_Y).
+    """
+    if delta is None:
+        delta = _reference_shift_constant(resc)
+    r = resc.r
+    if probes is None:
+        probes = [
+            (i, p, s) for i in (3 * r, 3 * r + 1, 5 * r) for p in (10, 100) for s in (0, 7)
+        ]
+    qx = qy = None
+    for i, p, s in probes:
+        pq, sq = _Q(p), _Q(s)
+        hx = lambda j: _reference_profile_x(resc, pq, sq, j)
+        hy = lambda j: _reference_profile_y(resc, delta, pq, sq, j)
+        acc_x = resc.m * hx(i)
+        acc_y = resc.m * hy(i)
+        for off in range(2 * r + 1):
+            beta = off - r
+            acc_x = acc_x - resc.xx[off] * hx(i + beta) - resc.xy[off] * hy(i + beta)
+            acc_y = acc_y - resc.yx[off] * hx(i + beta) - resc.yy[off] * hy(i + beta)
+        if qx is None:
+            qx, qy = acc_x, acc_y
+        elif acc_x != qx or acc_y != qy:
+            raise AssertionError("profile residual is not constant across probes")
+    return qx, qy
+
+
+# drift-free but not palindromic: cross jumps +2 and -2 cancel, delta = -1/3
+SKEWED_TOY = toy_system(((1, 1, 1), (1, 2, 3), (3, 2, 1), (1, 1, 1)))
+DRIFTING_TOY = toy_system(((0, 1, 2), (1, 1, 1), (1, 1, 1), (1, 1, 1)))
+
+
+def _wide_probes(r):
+    """i - s in {0, 1, r, 7r}, p in {0, 1, 10**6}, at two shifts s."""
+    return [(t + s, p, s) for t in (0, 1, r, 7 * r) for p in (0, 1, 10**6) for s in (0, 7)]
+
+
+def _tuples(*values):
+    return [v.as_tuple() for v in values]
+
+
+class TestMomentsAgainstReference:
+    """The moment identities give the previous shift and residual constants."""
+
+    @pytest.mark.parametrize("r", range(2, 13))
+    def test_real_systems(self, r):
+        resc = _rescaled(r)
+        delta = shift_constant(resc)
+        assert _tuples(delta) == _tuples(_reference_shift_constant(resc))
+        got = _tuples(*residual_constants(resc, delta))
+        assert got == _tuples(*_reference_residual_constants(resc, delta))
+        assert got == _tuples(*_reference_residual_constants(resc, delta, _wide_probes(r)))
+        assert got == _tuples(*residual_constants(resc))
+
+    @pytest.mark.parametrize("toy", [SYMMETRIC_TOY, SKEWED_TOY], ids=["symmetric", "skewed"])
+    def test_toy_systems(self, toy):
+        resc = rescale(toy)
+        delta = shift_constant(resc)
+        assert _tuples(delta) == _tuples(_reference_shift_constant(resc))
+        got = _tuples(*residual_constants(resc, delta))
+        assert got == _tuples(*_reference_residual_constants(resc, delta, _wide_probes(1)))
+
+    def test_skewed_toy_shift(self):
+        assert shift_constant(rescale(SKEWED_TOY)) == Q(Fraction(-1, 3))
+
+    def test_drifting_toy_is_refused_both_ways(self):
+        resc = rescale(DRIFTING_TOY)
+        for shift in (shift_constant, _reference_shift_constant):
+            with pytest.raises(ValueError):
+                shift(resc)
+        # with drift no shift makes the residual constant
+        for delta in (Q(0), Q(Fraction(1, 2)), Q(-1)):
+            with pytest.raises(AssertionError):
+                residual_constants(resc, delta)
+            with pytest.raises(AssertionError):
+                _reference_residual_constants(resc, delta, _wide_probes(1))
+
+    @pytest.mark.parametrize("r", [2, 5, 8])
+    def test_wrong_shift_refused_both_ways(self, r):
+        # s0 does not depend on delta, so only the s1 test catches this
+        resc = _rescaled(r)
+        wrong = shift_constant(resc) + Q(Fraction(1, 1000))
+        with pytest.raises(AssertionError):
+            residual_constants(resc, wrong)
+        with pytest.raises(AssertionError):
+            _reference_residual_constants(resc, wrong)
+
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_certificates_unchanged(self, r):
+        resc = _rescaled(r)
+        delta = _reference_shift_constant(resc)
+        qx, qy = _reference_residual_constants(resc, delta)
+        k_const = qx if qx >= qy else qy
+        for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
+            p, root, gap = gap_search(delta, _gap_requirement(resc, eps, k_const))
+            want = certificate_from_peak(resc, eps, p, root, delta, k_const, gap)
+            got = build_certificate(resc, eps)
+            for field in ("p", "root_p", "s", "delta", "k_const", "gap"):
+                assert getattr(got, field).as_tuple() == getattr(want, field).as_tuple(), field
+            assert (got.epsilon, got.support_x, got.support_y) == (
+                want.epsilon, want.support_x, want.support_y)
+
+    @pytest.mark.parametrize("r", [2, 5])
+    def test_clipped_profiles_match_reference(self, r):
+        resc = _rescaled(r)
+        cert = build_certificate(resc, Fraction(1, 10))
+        zero = _Q(0)
+        for i in range(cert.support_y[0] - 2, cert.support_x[1] + 3, 7):
+            hx = _reference_profile_x(resc, cert.p, cert.s, i)
+            hy = _reference_profile_y(resc, cert.delta, cert.p, cert.s, i)
+            assert cert.xbar(resc, i).as_tuple() == max(hx, zero).as_tuple()
+            assert cert.ybar(resc, i).as_tuple() == max(hy, zero).as_tuple()
