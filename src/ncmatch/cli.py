@@ -167,6 +167,8 @@ def cmd_recurse(args) -> int:
 
 def cmd_growth(args) -> int:
     if args.family == "zigzag":
+        if args.variant == "perfect":
+            raise CliError("zigzag growth has no perfect variant")
         exact, base = (
             zigzag.all_matchings_growth_constant()
             if args.variant == "all"
@@ -183,6 +185,8 @@ def cmd_growth(args) -> int:
         if args.r is None:
             raise CliError("growth for chains needs --r")
         if args.corners:
+            if args.variant != "down-free":
+                raise CliError("--corners supports only the down-free variant")
             sys_r = corners.extract_band(args.r)
             m = corners.dominant_eigenvalue(sys_r.condensed)
             payload = {
@@ -193,7 +197,7 @@ def cmd_growth(args) -> int:
                 "base_per_point": f"{m.root_float(args.r):.9f}",
             }
         else:
-            lam = chains.growth_factor(args.r, args.variant_chain)
+            lam = chains.growth_factor(args.r, args.variant)
             payload = {
                 "family": "rchain",
                 "r": args.r,
@@ -289,7 +293,7 @@ def _case(name: str, expected, got) -> dict:
 
 def _verify_zigzag(max_points: int) -> list[dict]:
     results = []
-    kmax = max(0, (max_points - 1) // 2)
+    kmax = max(0, max_points // 2)
     zz = zigzag.zigzag_series(kmax)
     za = zigzag.zigzag_series(kmax, "all")
     for k in range(1, kmax + 1):
@@ -414,9 +418,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="rchain", choices=["zigzag", "rchain"])
     p.add_argument("--r", type=int)
     p.add_argument("--corners", action="store_true")
-    p.add_argument("--variant", choices=["down-free", "all"], default="down-free")
-    p.add_argument("--variant-chain", dest="variant_chain", default="down-free",
-                   choices=["down-free", "perfect", "all"])
+    p.add_argument("--variant", choices=["down-free", "perfect", "all"], default="down-free")
     p.add_argument("--out")
     p.set_defaults(func=cmd_growth)
 

@@ -35,12 +35,13 @@ are evaluated column by column and visit only the nonzero inputs, so a unit
 probe costs O(r); the tests check on random vectors, for r = 1..20, that the
 kernel equals the sums on every row.
 
-For analysis the recursion is condensed: away from small indices each family
-acts as a band matrix with coefficients band[XY][beta] (response of X-states
-at offset beta to a unit Y-state), and the 2x2 matrix of band column sums
-together with the matrix of total jump sizes sum_beta beta * band[XY][beta]
-feeds the spectral machinery.  The per-point growth rate of the chain is the
-r-th root of the condensed matrix's dominant eigenvalue.
+For analysis the recursion is condensed: away from small indices it is a
+2x2 array over the states (C, F) of bands ``bands[x][y][beta + r]``
+(response of an x-state at offset beta to a unit y-state), the layout the
+banded kernel reads.  Their sums (the condensed matrix) and total jump
+sizes sum_beta beta * bands[x][y][beta + r] feed the spectral machinery.
+The per-point growth rate of the chain is the r-th root of the condensed
+matrix's dominant eigenvalue.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .chains import _banded_step, _parity_prefix
@@ -111,9 +113,8 @@ def coupled_step(
 
 @lru_cache(maxsize=None)
 def _stable_bands(r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """((CC, CF), (FC, FF)) bands of extract_band(r): one probe per r."""
-    sys_r = extract_band(r)
-    return (sys_r.band_cc, sys_r.band_cf), (sys_r.band_fc, sys_r.band_ff)
+    """The bands of extract_band(r): one probe per r."""
+    return extract_band(r).bands
 
 
 def _exact_rows(
@@ -205,21 +206,31 @@ def chain_counts(r: int, kmax: int) -> list[int]:
 
 @dataclass(frozen=True)
 class CoupledSystem:
-    """Stabilized band coefficients plus their condensed 2x2 summaries.
+    """Stabilized band coefficients; the condensed summaries derive from them.
 
-    ``band[XY][beta + r]`` is the response of an X-state at offset beta to a
-    unit Y-state, for XY in CC, CF, FC, FF; ``condensed`` holds the band
-    sums ((CC, CF), (FC, FF)); ``jumps`` the beta-weighted sums.
+    ``bands[x][y][beta + r]``, x and y over the states (C, F), is the
+    response of an x-state at offset beta to a unit y-state.
     """
 
     r: int
-    band_cc: tuple[int, ...]
-    band_cf: tuple[int, ...]
-    band_fc: tuple[int, ...]
-    band_ff: tuple[int, ...]
-    condensed: tuple[tuple[int, int], tuple[int, int]]
-    jumps: tuple[tuple[int, int], tuple[int, int]]
-    positive_core: bool
+    bands: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @property
+    def condensed(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Band sums ((CC, CF), (FC, FF))."""
+        return tuple(tuple(map(sum, row)) for row in self.bands)
+
+    @property
+    def jumps(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Total jump sizes sum_beta beta * band[beta], laid out like ``condensed``."""
+        betas = range(-self.r, self.r + 1)
+        return tuple(tuple(sum(map(mul, betas, band)) for band in row) for row in self.bands)
+
+    @property
+    def positive_core(self) -> bool:
+        """All four bands positive at offsets -1, 0, 1, as the growth bound assumes."""
+        r = self.r
+        return all(band[r + beta] > 0 for row in self.bands for band in row for beta in (-1, 0, 1))
 
 
 def extract_band(r: int, probe: int | None = None) -> CoupledSystem:
@@ -230,8 +241,7 @@ def extract_band(r: int, probe: int | None = None) -> CoupledSystem:
     visit only the nonzero inputs, so a probe costs O(r); the responses at
     offsets -r..r are the band coefficients.  Probing the linear map avoids
     transcribing 4(2r+1) closed forms by hand.  The band support
-    |beta| <= r is verified, and the positivity of all four families at
-    beta in {-1, 0, 1} (what the spectral growth bound assumes) is recorded.
+    |beta| <= r is verified.
     """
     coeffs = corner_coefficients(r)
     i0 = probe if probe is not None else 2 * r + 2
@@ -241,8 +251,8 @@ def extract_band(r: int, probe: int | None = None) -> CoupledSystem:
     unit[i0] = 1
     zero = [0] * (i0 + 1)
     size = i0 + 1 + r
-    c_from_c, f_from_c = _exact_rows(unit, zero, coeffs, size)
-    c_from_f, f_from_f = _exact_rows(zero, unit, coeffs, size)
+    # responses[y][x]: the x-state rows after a unit y-state
+    responses = (_exact_rows(unit, zero, coeffs, size), _exact_rows(zero, unit, coeffs, size))
 
     def band_of(resp: list[int]) -> tuple[int, ...]:
         grab = lambda idx: resp[idx] if 0 <= idx < len(resp) else 0
@@ -251,16 +261,7 @@ def extract_band(r: int, probe: int | None = None) -> CoupledSystem:
                 raise AssertionError(f"response outside bandwidth at offset {i0 - idx}")
         return tuple(grab(i0 - beta) for beta in range(-r, r + 1))
 
-    bcc, bcf = band_of(c_from_c), band_of(c_from_f)
-    bfc, bff = band_of(f_from_c), band_of(f_from_f)
-    condensed = ((sum(bcc), sum(bcf)), (sum(bfc), sum(bff)))
-    betas = range(-r, r + 1)
-    jump = lambda band: sum(b * v for b, v in zip(betas, band))
-    jumps = ((jump(bcc), jump(bcf)), (jump(bfc), jump(bff)))
-    core = all(
-        band[r + beta] > 0 for band in (bcc, bcf, bfc, bff) for beta in (-1, 0, 1)
-    )
-    return CoupledSystem(r, bcc, bcf, bfc, bff, condensed, jumps, core)
+    return CoupledSystem(r, tuple(tuple(map(band_of, row)) for row in zip(*responses)))
 
 
 def dominant_eigenvalue(condensed) -> QuadNumber:

@@ -6,8 +6,10 @@ Pipeline, all in one quadratic field Q(sqrt(disc)):
    positive left/right eigenvectors, normalized to sum 1.
 2. ``weighted_drift``: the eigenvector-weighted total jump size; zero drift
    is the hypothesis that the runner count performs an unbiased walk.
-3. ``rescale``: scale the cross coefficients by the left-eigenvector ratio
-   so both condensed column sums become exactly M (left eigenvector (1,1)).
+3. ``rescale``: the similarity bands[x][y] * l_x / l_y by the left
+   eigenvector l, on the 2x2 band layout ``bands[x][y]`` of
+   ``CoupledSystem``, so both condensed column sums become exactly M
+   (left eigenvector (1,1)).
 4. ``shift_constant``: the horizontal offset delta between the two quadratic
    profiles.  A band meets a profile only through its moments s0, s1, s2
    (``_add_moments``): a row's band sum at i is p s0 - s0 i^2 - 2 s1 i - s2.
@@ -87,63 +89,50 @@ def weighted_drift(sys: CoupledSystem, eig: Optional[EigenData] = None) -> QuadN
     """Eigenvector-weighted total jump size of the coupled system."""
     if eig is None:
         eig = eigen_data(sys.condensed)
-    (dxx, dxy), (dyx, dyy) = sys.jumps
-    lx, ly = eig.left
-    rx, ry = eig.right
-    return lx * rx * dxx + lx * ry * dxy + ly * rx * dyx + ly * ry * dyy
+    terms = (lx * ry * d for lx, row in zip(eig.left, sys.jumps) for ry, d in zip(eig.right, row))
+    return sum(terms, _Q(0))
 
 
 @dataclass(frozen=True)
 class RescaledSystem:
     """Coupled band coefficients rescaled to constant column sums M.
 
-    Bands are QuadNumber tuples indexed beta = -r..r (offset by r); ``pi``
-    is the sum-normalized right eigenvector of the rescaled condensed
-    matrix, and the left eigenvector is (1, 1) by construction.
+    ``bands[x][y]`` is the QuadNumber band of ``CoupledSystem.bands[x][y]``
+    times l_x / l_y, indexed beta = -r..r (offset by r); ``pi`` is the
+    sum-normalized right eigenvector of the rescaled condensed matrix, and
+    the left eigenvector is (1, 1) by construction.
     """
 
     r: int
-    xx: tuple[QuadNumber, ...]
-    xy: tuple[QuadNumber, ...]
-    yx: tuple[QuadNumber, ...]
-    yy: tuple[QuadNumber, ...]
+    bands: tuple[tuple[tuple[QuadNumber, ...], ...], ...]
     m: QuadNumber
     pi: tuple[QuadNumber, QuadNumber]
 
-    def column_sums(self) -> tuple[QuadNumber, QuadNumber]:
-        tot = lambda band: sum(band[1:], band[0])
-        return tot(self.xx) + tot(self.yx), tot(self.xy) + tot(self.yy)
+    def column_sums(self) -> tuple[QuadNumber, ...]:
+        return tuple(sum((v for band in col for v in band), _Q(0)) for col in zip(*self.bands))
 
 
 def rescale(sys: CoupledSystem, eig: Optional[EigenData] = None) -> RescaledSystem:
-    """Multiply the cross bands by the left-eigenvector ratio.
+    """The similarity bands[x][y] * l_x / l_y by the left eigenvector l.
 
+    Each cross ratio is computed once and the diagonal bands stay unscaled.
     Afterwards both condensed column sums equal M exactly and the drift
     condition takes its symmetric sum-form; growth behaviour is unchanged.
     """
     if eig is None:
         eig = eigen_data(sys.condensed)
-    lx, ly = eig.left
-    up, down = lx / ly, ly / lx
-    as_q = lambda band: tuple(_Q(v) for v in band)
-    scaled = lambda band, f: tuple(_Q(v) * f for v in band)
-    resc = RescaledSystem(
-        r=sys.r,
-        xx=as_q(sys.band_cc),
-        xy=scaled(sys.band_cf, up),
-        yx=scaled(sys.band_fc, down),
-        yy=as_q(sys.band_ff),
-        m=eig.value,
-        pi=(lx * eig.right[0] / _pi_norm(eig), ly * eig.right[1] / _pi_norm(eig)),
-    )
-    s1, s2 = resc.column_sums()
-    if not (s1 == eig.value and s2 == eig.value):
+    left = eig.left
+    bands = [[tuple(map(_Q, band)) for band in row] for row in sys.bands]
+    for x, y in ((0, 1), (1, 0)):
+        ratio = left[x] / left[y]
+        bands[x][y] = tuple(v * ratio for v in bands[x][y])
+    weights = [lv * rv for lv, rv in zip(left, eig.right)]
+    norm = weights[0] + weights[1]
+    pi = tuple(w / norm for w in weights)
+    resc = RescaledSystem(sys.r, tuple(map(tuple, bands)), eig.value, pi)
+    if any(total != eig.value for total in resc.column_sums()):
         raise AssertionError("rescaled column sums are not the eigenvalue")
     return resc
-
-
-def _pi_norm(eig: EigenData) -> QuadNumber:
-    return eig.left[0] * eig.right[0] + eig.left[1] * eig.right[1]
 
 
 def _add_moments(acc, band, scale, shift, betas):
@@ -162,11 +151,11 @@ def _add_moments(acc, band, scale, shift, betas):
 
 
 def _row_bands(resc: RescaledSystem, epsilon: Fraction | int):
-    """Each row's (X-profile band, Y-profile band) with -(M - epsilon) folded
-    into offset 0 of its own band (xx for row X, yy for row Y)."""
+    """Each row x of ``resc.bands``, its (X-profile band, Y-profile band),
+    with -(M - epsilon) folded into offset 0 of its own band bands[x][x]."""
     r, m_eps = resc.r, resc.m - _Q(epsilon)
     own = lambda band: band[:r] + (band[r] - m_eps,) + band[r + 1 :]
-    return (own(resc.xx), resc.xy), (resc.yx, own(resc.yy))
+    return [row[:x] + (own(row[x]),) + row[x + 1 :] for x, row in enumerate(resc.bands)]
 
 
 def shift_constant(resc: RescaledSystem) -> QuadNumber:

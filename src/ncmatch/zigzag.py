@@ -56,12 +56,6 @@ class ZigzagSeries:
     def top(self) -> int:
         return len(self.c) - 1
 
-    def extended(self, steps: int = 1) -> "ZigzagSeries":
-        a, b, c = list(self.a), list(self.b), list(self.c)
-        for _ in range(steps):
-            _extend(a, b, c, self.kind)
-        return ZigzagSeries(tuple(a), tuple(b), tuple(c), self.kind)
-
 
 def _extend(a: list[int], b: list[int], c: list[int], kind: Kind) -> None:
     k = len(c)

@@ -90,6 +90,28 @@ def test_growth_zigzag(capsys):
     assert data["base_per_point"].startswith("3.0531664")
 
 
+@pytest.mark.parametrize("variant, factor", [("down-free", 28), ("perfect", 10), ("all", 29)])
+def test_growth_rchain_variants(capsys, variant, factor):
+    from ncmatch.chains import growth_factor
+
+    code, out, _ = run(capsys, "growth", "--r", "3", "--variant", variant)
+    assert code == 0
+    assert json.loads(out)["growth_factor"] == str(factor) == str(growth_factor(3, variant))
+
+
+def test_growth_zigzag_perfect_is_usage_error(capsys):
+    code, out, err = run(capsys, "growth", "--family", "zigzag", "--variant", "perfect")
+    assert (code, out) == (2, "")
+    assert "no perfect variant" in err
+
+
+@pytest.mark.parametrize("variant", ["perfect", "all"])
+def test_growth_corners_other_variant_is_usage_error(capsys, variant):
+    code, out, err = run(capsys, "growth", "--r", "3", "--corners", "--variant", variant)
+    assert (code, out) == (2, "")
+    assert "only the down-free variant" in err
+
+
 def test_gen_count_round_trip(tmp_path, capsys):
     path = tmp_path / "pts.json"
     code, _, _ = run(capsys, "gen", "--family", "zigzag", "--n", "9", "--out", str(path))
@@ -203,6 +225,22 @@ def test_verify_zigzag_full_grid(capsys):
     code, out, _ = run(capsys, "verify", "--family", "zigzag", "--max-points", "14")
     assert code == 0
     assert json.loads(out)["all_pass"] is True
+
+
+def test_verify_zigzag_two_points_is_one_case(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "zigzag", "--max-points", "2")
+    assert code == 0
+    cases = json.loads(out)["cases"]
+    assert [case["case"] for case in cases] == ["down-free zigzag(n=2,even,downward)"]
+    assert cases[0]["pass"] is True
+
+
+def test_verify_zigzag_reaches_the_largest_even_size(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "zigzag", "--max-points", "4")
+    assert code == 0
+    names = [case["case"] for case in json.loads(out)["cases"]]
+    assert "down-free zigzag(n=4,even,downward)" in names
+    assert not any("n=5" in name for name in names)
 
 
 def test_verify_report_deterministic(capsys):

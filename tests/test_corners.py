@@ -197,6 +197,20 @@ class TestBandedKernel:
             corners._stable_bands.cache_clear()
         assert calls == [4]
 
+    def test_step_reads_the_system_bands_unrepacked(self, monkeypatch):
+        from ncmatch import corners
+
+        probed = {}
+        real = corners.extract_band
+        monkeypatch.setattr(corners, "extract_band", lambda r, probe=None: probed.setdefault(r, real(r, probe)))
+        corners._stable_bands.cache_clear()
+        try:
+            for r in range(1, 13):
+                assert corners._stable_bands(r) is probed[r].bands
+                assert probed[r].bands == real(r).bands
+        finally:
+            corners._stable_bands.cache_clear()
+
     @pytest.mark.parametrize("r", range(1, 13))
     def test_light_cone_counts_equal_full_series(self, r):
         kmax = max(4, 72 // r)

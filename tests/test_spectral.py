@@ -29,11 +29,7 @@ Q = QuadNumber.from_rational
 def toy_system(bands, r=1):
     """CoupledSystem from four explicit band tuples (offset -r..r)."""
     cc, cf, fc, ff = bands
-    condensed = ((sum(cc), sum(cf)), (sum(fc), sum(ff)))
-    jump = lambda band: sum((off - r) * v for off, v in enumerate(band))
-    jumps = ((jump(cc), jump(cf)), (jump(fc), jump(ff)))
-    core = all(b[r + o] > 0 for b in bands for o in (-1, 0, 1))
-    return CoupledSystem(r, cc, cf, fc, ff, condensed, jumps, core)
+    return CoupledSystem(r, ((cc, cf), (fc, ff)))
 
 
 SYMMETRIC_TOY = toy_system(((1, 1, 1),) * 4)
@@ -77,12 +73,9 @@ class TestDrift:
         assert weighted_drift(extract_band(r)).sign() == 0
 
     def test_nonzero_for_synthetic_jump(self):
-        sys_ = toy_system(((1, 1, 1),) * 4)
-        biased = CoupledSystem(
-            1, sys_.band_cc, sys_.band_cf, sys_.band_fc, sys_.band_ff,
-            sys_.condensed, ((1, 0), (0, 0)), sys_.positive_core,
-        )
-        assert weighted_drift(biased).sign() > 0
+        # the CC band leans right, so its jump sum is the only nonzero one
+        assert DRIFTING_TOY.jumps == ((2, 0), (0, 0))
+        assert weighted_drift(DRIFTING_TOY).sign() > 0
 
 
 class TestRescale:
@@ -96,16 +89,34 @@ class TestRescale:
         # after rescaling, column sums constant == M means (1,1) is a left
         # eigenvector; spelled out entrywise:
         resc = rescale(extract_band(8))
+        (xx, xy), (yx, yy) = resc.bands
         tot = lambda band: sum(band[1:], band[0])
-        assert tot(resc.xx) + tot(resc.yx) == resc.m
-        assert tot(resc.xy) + tot(resc.yy) == resc.m
+        assert tot(xx) + tot(yx) == resc.m
+        assert tot(xy) + tot(yy) == resc.m
 
     def test_rescaled_drift_sum_form_vanishes(self):
         resc = rescale(extract_band(8))
         pix, piy = resc.pi
+        (xx, xy), (yx, yy) = resc.bands
         jump = lambda band: sum(((off - resc.r) * v for off, v in enumerate(band)), Q(0))
-        total = pix * (jump(resc.xx) + jump(resc.yx)) + piy * (jump(resc.xy) + jump(resc.yy))
+        total = pix * (jump(xx) + jump(yx)) + piy * (jump(xy) + jump(yy))
         assert total.sign() == 0
+
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_similarity_rule_entrywise(self, r):
+        # bands[x][y] * l_y == integer band * l_x, and the diagonal is the
+        # integer band itself
+        sys_ = extract_band(r)
+        left = eigen_data(sys_.condensed).left
+        resc = rescale(sys_)
+        for x in range(2):
+            for y in range(2):
+                got, band = resc.bands[x][y], sys_.bands[x][y]
+                assert len(got) == len(band) == 2 * r + 1
+                for v, w in zip(got, band):
+                    assert v * left[y] == left[x] * w
+                    if x == y:
+                        assert v.as_tuple() == Q(w).as_tuple()
 
 
 class TestShiftConstant:
@@ -321,8 +332,8 @@ def _reference_verify(resc: RescaledSystem, cert: SubEigenCertificate) -> bool:
     """
     r = resc.r
     rows = (
-        (resc.xx, resc.xy, True),
-        (resc.yx, resc.yy, False),
+        (*resc.bands[0], True),
+        (*resc.bands[1], False),
     )
     m_eps = resc.m - _Q(cert.epsilon)
     for band_x, band_y, lhs_is_x in rows:
@@ -511,14 +522,16 @@ class TestVerifyAgainstReference:
         resc = _rescaled(r)
         cert = build_certificate(resc, Fraction(1, 10))
         verdicts = []
-        for name in ("xx", "xy", "yx", "yy"):
-            band = getattr(resc, name)
+        for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            band = resc.bands[x][y]
             for off in range(2 * r + 1):
                 for move in (Fraction(1, 50), Fraction(-1, 50)):
                     moved = band[:off] + (band[off] + move,) + band[off + 1 :]
-                    mutated = dataclasses.replace(resc, **{name: moved})
+                    bands = [list(row) for row in resc.bands]
+                    bands[x][y] = moved
+                    mutated = dataclasses.replace(resc, bands=tuple(map(tuple, bands)))
                     verdict = verify_certificate(mutated, cert)
-                    assert verdict == _reference_verify(mutated, cert), (name, off, move)
+                    assert verdict == _reference_verify(mutated, cert), (x, y, off, move)
                     verdicts.append(verdict)
         assert True in verdicts and False in verdicts
 
@@ -527,7 +540,7 @@ class TestVerifyAgainstReference:
 # the previous shift constant (jump sums over band sums) and residual
 # constants (profiles evaluated on an (i, p, s) probe grid), kept verbatim
 # under new names as references; ``RescaledSystem.jump`` is now
-# ``_reference_jump``
+# ``_reference_jump``; they read ``resc.bands`` as ((xx, xy), (yx, yy))
 # ---------------------------------------------------------------------------
 
 
@@ -546,10 +559,11 @@ def _reference_shift_constant(resc: RescaledSystem) -> QuadNumber:
     certificate machinery is meaningless with drift).
     """
     pix, piy = resc.pi
-    dxx, dxy = _reference_jump(resc, resc.xx), _reference_jump(resc, resc.xy)
-    dyx, dyy = _reference_jump(resc, resc.yx), _reference_jump(resc, resc.yy)
+    (xx, xy), (yx, yy) = resc.bands
+    dxx, dxy = _reference_jump(resc, xx), _reference_jump(resc, xy)
+    dyx, dyy = _reference_jump(resc, yx), _reference_jump(resc, yy)
     sum_band = lambda band: sum(band[1:], band[0])
-    axy, ayy = sum_band(resc.xy), sum_band(resc.yy)
+    axy, ayy = sum_band(xy), sum_band(yy)
     first = (pix * dxx + piy * dxy) / (-(piy * axy))
     second = -(pix * dyx + piy * dyy) / (piy * (ayy - resc.m))
     if first != second:
@@ -585,6 +599,7 @@ def _reference_residual_constants(
         probes = [
             (i, p, s) for i in (3 * r, 3 * r + 1, 5 * r) for p in (10, 100) for s in (0, 7)
         ]
+    (xx, xy), (yx, yy) = resc.bands
     qx = qy = None
     for i, p, s in probes:
         pq, sq = _Q(p), _Q(s)
@@ -594,8 +609,8 @@ def _reference_residual_constants(
         acc_y = resc.m * hy(i)
         for off in range(2 * r + 1):
             beta = off - r
-            acc_x = acc_x - resc.xx[off] * hx(i + beta) - resc.xy[off] * hy(i + beta)
-            acc_y = acc_y - resc.yx[off] * hx(i + beta) - resc.yy[off] * hy(i + beta)
+            acc_x = acc_x - xx[off] * hx(i + beta) - xy[off] * hy(i + beta)
+            acc_y = acc_y - yx[off] * hx(i + beta) - yy[off] * hy(i + beta)
         if qx is None:
             qx, qy = acc_x, acc_y
         elif acc_x != qx or acc_y != qy:

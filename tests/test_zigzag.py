@@ -17,17 +17,11 @@ from ncmatch.zigzag import (
 
 def test_base_values():
     zz = zigzag_series(3)
+    assert zz.top == 3
     assert zz.a[0] == zz.b[0] == zz.c[0] == 1
     assert zz.c[1] == 2  # one edge or none on two points
     assert zz.a[1] == 3
     assert zz.b[1] == 4
-
-
-def test_extended_returns_new_snapshot():
-    zz = zigzag_series(2)
-    more = zz.extended(3)
-    assert more.top == 5 and zz.top == 2
-    assert more.c[: zz.top + 1] == zz.c
 
 
 def test_positive_and_dominated():
