@@ -137,14 +137,23 @@ def cmd_count(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _reject_chain_flags(args) -> None:
+    """The zigzag family takes neither --r nor --corners."""
+    if args.r is not None or args.corners:
+        raise CliError("--r and --corners apply only to the rchain family")
+
+
 def cmd_recurse(args) -> int:
     if args.family == "zigzag":
+        _reject_chain_flags(args)
         zz = zigzag.zigzag_series(args.kmax, args.variant)
         header = ["k", "odd_size_even_kind", "odd_size_odd_kind", "even_size"]
         table = [[k, zz.a[k], zz.b[k], zz.c[k]] for k in range(args.kmax + 1)]
     elif args.family == "rchain":
         if args.r is None:
             raise CliError("rchain needs --r")
+        if args.variant != "down-free":
+            raise CliError("rchain recursions count only the down-free variant")
         if args.corners:
             header = ["k", "count"]
             table = [[k, v] for k, v in enumerate(corners.chain_counts(args.r, args.kmax))]
@@ -167,6 +176,7 @@ def cmd_recurse(args) -> int:
 
 def cmd_growth(args) -> int:
     if args.family == "zigzag":
+        _reject_chain_flags(args)
         if args.variant == "perfect":
             raise CliError("zigzag growth has no perfect variant")
         exact, base = (

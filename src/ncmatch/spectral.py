@@ -35,7 +35,11 @@ Pipeline, all in one quadratic field Q(sqrt(disc)):
    the moments of the offsets inside the supports, decided by exact sign
    tests at its endpoints (or at the vertex when convex); every index of the
    support plus a bandwidth margin is covered without materializing the
-   vectors, whose support can run to millions of entries.
+   vectors, whose support can run to millions of entries.  A row's shift
+   and scale per band are the same in every segment, so each offset's
+   moments are summed once per row and band into a suffix table, filled
+   lazily from offset +r down; a segment's offset range [a, b] is then
+   table(a) - table(b + 1), and a row costs O(r) field operations.
 """
 
 from __future__ import annotations
@@ -361,7 +365,9 @@ def verify_certificate(resc: RescaledSystem, cert: SubEigenCertificate) -> bool:
     row checks that a banded sum of the two clipped profiles is nonnegative.
     Every integer index is covered: between clipping breakpoints that sum is
     one quadratic in the index, decided by evaluations at the stretch ends
-    (concave case) or around the vertex (convex case).  False is a
+    (concave case) or around the vertex (convex case).  Its moments come
+    from one suffix table per row and band (``_suffix_moments``), so each
+    offset is summed once per row, not once per segment.  False is a
     legitimate outcome, not an error.
     """
     r = resc.r
@@ -382,24 +388,55 @@ def verify_certificate(resc: RescaledSystem, cert: SubEigenCertificate) -> bool:
     segments.append((marks[-1] + 1, marks[-1] + 1))
     # row-major: all of row X, then row Y
     for bands in _row_bands(resc, cert.epsilon):
-        terms = tuple(zip(bands, profiles))
+        terms = tuple(
+            (_suffix_moments(band, scale, shift), sup)
+            for band, (sup, shift, scale) in zip(bands, profiles)
+        )
         for lo, hi in segments:
             if not _segment_ok(r, cert.p, terms, lo, hi):
                 return False
     return True
 
 
+def _suffix_moments(band, scale, shift):
+    """table(a): the moments (``_add_moments``) of the offsets a..r of one
+    row's band, for -r <= a <= r + 1.  Filled on demand from offset +r
+    down, one offset per step, so a row whose check fails early sums only
+    the offsets its segments reached."""
+    r = len(band) // 2
+    table = [_NO_MOMENTS]  # table[k]: offsets r + 1 - k .. r
+
+    def moments(a: int):
+        while len(table) <= r + 1 - a:
+            table.append(_add_moments(table[-1], band, scale, shift, (r + 1 - len(table),)))
+        return table[r + 1 - a]
+
+    return moments
+
+
 def _segment_ok(r, p, terms, lo, hi) -> bool:
-    """Check the row's band sum >= 0 for all integers in [lo, hi] (fixed clip pattern)."""
-    acc = _NO_MOMENTS
-    for band, ((first, last), shift, scale) in terms:
+    """Check the row's band sum >= 0 for all integers in [lo, hi] (fixed clip pattern).
+
+    Each of ``terms`` pairs a band's suffix table with its support; the
+    moments of the offsets inside the support are table(a) - table(b + 1)
+    for the inside range [a, b], two reads and no per-offset work.
+    """
+    acc = None
+    for moments, (first, last) in terms:
         # i + beta lies in [first, last] for every i in [lo, hi] exactly when
         # beta is in `inside`, and for some i exactly when beta is in `meets`
         inside = range(max(-r, first - lo), min(r, last - hi) + 1)
         meets = range(max(-r, first - hi), min(r, last - lo) + 1)
         if len(inside) != len(meets):
             raise AssertionError("segment straddles a clip boundary")
-        acc = _add_moments(acc, band, scale, shift, inside)
+        if not inside:
+            continue
+        part = moments(inside.start)
+        if inside.stop <= r:
+            part = tuple(u - v for u, v in zip(part, moments(inside.stop)))
+        acc = part if acc is None else tuple(u + v for u, v in zip(acc, part))
+    if acc is None:  # no offset reaches a support: the band sum is 0
+        return True
     s0, s1, s2 = acc
     # the band sum p s0 - s0 i^2 - 2 s1 i - s2 is q2 i^2 + q1 i + q0
     q2, q1, q0 = -s0, -2 * s1, p * s0 - s2

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from ncmatch.geometry import DoubleSet
 from ncmatch.oracle import Matching
+from ncmatch.quadfield import QuadNumber
 
 
 def globalize(m: Matching, index_map) -> Matching:
@@ -13,6 +15,13 @@ def globalize(m: Matching, index_map) -> Matching:
         for i, j in m.edges
     )
     return Matching(edges, frozenset(index_map[i] for i in m.runners))
+
+
+def as_fraction(q: QuadNumber) -> Fraction:
+    """The rational value of q; an irrational q is a ValueError."""
+    if not q.is_rational:
+        raise ValueError(f"{q!r} is irrational")
+    return Fraction(q.a, q.c)
 
 
 def halves_maps(d: DoubleSet):

@@ -112,6 +112,28 @@ def test_growth_corners_other_variant_is_usage_error(capsys, variant):
     assert "only the down-free variant" in err
 
 
+@pytest.mark.parametrize("extra", [["--r", "3"], ["--corners"], ["--r", "3", "--corners"]])
+def test_growth_zigzag_chain_flags_are_usage_errors(capsys, extra):
+    code, out, err = run(capsys, "growth", "--family", "zigzag", *extra)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "only to the rchain family" in err
+
+
+@pytest.mark.parametrize("extra", [["--r", "3"], ["--corners"], ["--r", "3", "--corners"]])
+def test_recurse_zigzag_chain_flags_are_usage_errors(capsys, extra):
+    code, out, err = run(capsys, "recurse", "--family", "zigzag", "--kmax", "3", *extra)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "only to the rchain family" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--corners"]])
+def test_recurse_rchain_all_variant_is_usage_error(capsys, extra):
+    code, out, err = run(capsys, "recurse", "--family", "rchain", "--r", "3", "--kmax", "3",
+                         "--variant", "all", *extra)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "only the down-free variant" in err
+
+
 def test_gen_count_round_trip(tmp_path, capsys):
     path = tmp_path / "pts.json"
     code, _, _ = run(capsys, "gen", "--family", "zigzag", "--n", "9", "--out", str(path))

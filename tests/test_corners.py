@@ -17,6 +17,8 @@ from ncmatch.corners import (
 from ncmatch.geometry import Parity, make_rchain, make_zigzag
 from ncmatch.oracle import MatchKind, census, census_corner_split
 
+from conftest import as_fraction
+
 CONDENSED_FIXTURES = {
     1: ((1, 1), (2, 2)),
     2: ((3, 3), (7, 6)),
@@ -324,4 +326,4 @@ class TestCondensedTable:
 
     def test_single_arc_eigenvalue_is_three(self):
         m = dominant_eigenvalue(CONDENSED_FIXTURES[1])
-        assert m.as_fraction() == 3
+        assert as_fraction(m) == 3

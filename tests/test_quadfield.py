@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from ncmatch.quadfield import QuadNumber
 
+from conftest import as_fraction
+
 M8 = QuadNumber(8389, 1, 2, 69945633)
 
 
@@ -15,8 +17,13 @@ def test_square_factor_extraction():
 
 
 def test_perfect_square_radicand_collapses_to_rational():
-    assert QuadNumber(1, 1, 2, 9).as_fraction() == Fraction(2)  # (1 + 3)/2
-    assert QuadNumber(5, 2, 3, 0).as_fraction() == Fraction(5, 3)
+    assert as_fraction(QuadNumber(1, 1, 2, 9)) == Fraction(2)  # (1 + 3)/2
+    assert as_fraction(QuadNumber(5, 2, 3, 0)) == Fraction(5, 3)
+
+
+def test_as_fraction_refuses_irrational():
+    with pytest.raises(ValueError):
+        as_fraction(M8)
 
 
 def test_arithmetic_mixed_with_rationals():
@@ -25,7 +32,7 @@ def test_arithmetic_mixed_with_rationals():
     assert x == QuadNumber(9, 1, 2, 93)
     assert x * 2 - 9 == root93
     assert (x - x).sign() == 0
-    assert (root93 * root93).as_fraction() == 93
+    assert as_fraction(root93 * root93) == 93
 
 
 def test_defining_polynomial_of_growth_rate():

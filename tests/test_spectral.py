@@ -6,6 +6,7 @@ from typing import Optional
 
 import pytest
 
+from ncmatch import spectral
 from ncmatch.corners import CoupledSystem, extract_band
 from ncmatch.quadfield import QuadNumber
 from ncmatch.spectral import (
@@ -22,6 +23,8 @@ from ncmatch.spectral import (
     verify_certificate,
     weighted_drift,
 )
+
+from conftest import as_fraction
 
 Q = QuadNumber.from_rational
 
@@ -48,7 +51,7 @@ class TestEigenData:
 
     def test_singular_condensed_matrix(self):
         e = eigen_data(((1, 1), (2, 2)))
-        assert e.value.as_fraction() == 3
+        assert as_fraction(e.value) == 3
         assert e.right[0] / e.right[1] == Fraction(1, 2)
 
     def test_rejects_nonpositive(self):
@@ -480,6 +483,12 @@ class TestGapSearchAgainstReference:
                 gap_search(delta, Q(5))
 
 
+def _undersized(resc):
+    """The control peak (1 + delta)^2, far below the gap requirement."""
+    delta = shift_constant(resc)
+    return certificate_from_peak(resc, Fraction(1, 10), (1 + delta) ** 2, 1 + delta)
+
+
 def _verify_cases(r, epsilons):
     """Certificates that do and do not verify, for one r."""
     resc = _rescaled(r)
@@ -498,7 +507,7 @@ def _verify_cases(r, epsilons):
             moved = dataclasses.replace(cert, delta=cert.delta - k, support_y=sup)
             yield moved
             yield dataclasses.replace(moved, epsilon=Fraction(10**6))
-    yield certificate_from_peak(resc, Fraction(1, 10), (1 + delta) ** 2, 1 + delta)
+    yield _undersized(resc)
     for j in range(2, 39, 3):
         yield certificate_from_peak(resc, Fraction(1, 100), (j + delta) ** 2, j + delta)
 
@@ -534,6 +543,44 @@ class TestVerifyAgainstReference:
                     assert verdict == _reference_verify(mutated, cert), (x, y, off, move)
                     verdicts.append(verdict)
         assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("r", [12, 20])
+    def test_larger_r(self, r):
+        resc = _rescaled(r)
+        cases = []
+        for eps in (Fraction(1, 10), Fraction(1, 100)):
+            cert = build_certificate(resc, eps)
+            cases += [cert, dataclasses.replace(cert, p=cert.p * Fraction(9, 10))]
+        cases.append(_undersized(resc))
+        verdicts = [verify_certificate(resc, cert) for cert in cases]
+        assert verdicts == [_reference_verify(resc, cert) for cert in cases]
+        assert True in verdicts and False in verdicts
+
+
+class TestVerifyWork:
+    """Each offset's moments are summed once per row and band, not once per
+    segment: a return to O(r) work per segment breaks the linear bounds."""
+
+    @pytest.mark.parametrize("r", [2, 8, 20, 60])
+    def test_offsets_added_are_linear_in_r(self, r, monkeypatch):
+        resc = _rescaled(r)
+        cert = build_certificate(resc, Fraction(1, 10))
+        small = _undersized(resc)
+        added = []
+        add_moments = spectral._add_moments
+
+        def counting(acc, band, scale, shift, betas):
+            betas = tuple(betas)
+            added.append(len(betas))
+            return add_moments(acc, band, scale, shift, betas)
+
+        monkeypatch.setattr(spectral, "_add_moments", counting)
+        assert verify_certificate(resc, cert)
+        # one offset per band (2), row (2) and offset -r..r
+        assert sum(added) <= 4 * (2 * r + 1)
+        added.clear()
+        assert not verify_certificate(resc, small)
+        assert sum(added) <= 2 * (r + 2)
 
 
 # ---------------------------------------------------------------------------
