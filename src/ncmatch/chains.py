@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import add
+from operator import add, mul
 from typing import Iterable, Literal, Sequence
 
 from .doubling import catalan, motzkin
@@ -72,6 +72,22 @@ def growth_factor(r: int, kind: ArcKind = "down-free") -> int:
     if r < 1:
         raise ValueError("r must be positive")
     return sum((i + 1) * arc_count(r, i, kind) for i in range(r + 1))
+
+
+def _growth_factors(limit: int, kind: ArcKind) -> list[int]:
+    """[growth_factor(r, kind) for r = 1..limit] in one pass.
+
+    arc_count(r, i) = C(r, i) * tail(r - i) with tail(m) = arc_count(m, 0),
+    so each r needs only the next Pascal row, built from the previous one,
+    and the tails, tabulated once.
+    """
+    tails = [arc_count(m, 0, kind) for m in range(limit + 1)]
+    row = [1]
+    out = []
+    for r in range(1, limit + 1):
+        row = list(map(add, row + [0], [0] + row))
+        out.append(sum(map(mul, map(mul, range(1, r + 2), row), tails[r::-1])))
+    return out
 
 
 @dataclass(frozen=True)
@@ -321,9 +337,9 @@ def best_arc_size(limit: int, kind: ArcKind = "down-free") -> tuple[int, float]:
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    best_r, best_lam = 1, growth_factor(1, kind)
-    for r in range(2, limit + 1):
-        lam = growth_factor(r, kind)
+    factors = _growth_factors(limit, kind)
+    best_r, best_lam = 1, factors[0]
+    for r, lam in enumerate(factors[1:], 2):
         if _rate_cmp(r, best_r, lam, best_lam) > 0:
             best_r, best_lam = r, lam
     if limit >= 190 and kind == "down-free":

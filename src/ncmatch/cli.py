@@ -3,11 +3,15 @@
 Subcommands: gen, count, recurse, growth, table, double-pm, subeig, verify.
 Big integers are printed as decimal strings and floats with a fixed number
 of decimals, so every emitted table is byte-stable across runs.
+
+``main`` may be called many times in one process (a batch of jobs): the
+argument parser is built on the first call, not at import, and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -83,23 +87,38 @@ def _load_config(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# the flags each family reads; any other flag given is a usage error
+_GEN_FLAGS = {
+    "chain": ("n", "direction"),
+    "zigzag": ("n", "parity", "direction"),
+    "rchain": ("r", "k", "corners"),
+    "double-chain": ("n",),
+    "double-zigzag": ("n", "parity"),
+}
+
+
 def _build_pointset(args) -> geometry.PointSet:
     fam = args.family
-    direction = Direction(args.direction)
-    parity = Parity(args.parity)
+    # unset flags read None, and --corners False; a given --n 0 is still given
+    given = [flag for flag in ("n", "r", "k", "parity", "direction")
+             if getattr(args, flag) is not None] + ["corners"] * args.corners
+    extra = [f"--{flag}" for flag in given if flag not in _GEN_FLAGS[fam]]
+    if extra:
+        raise CliError(f"gen --family {fam} does not take {', '.join(extra)}")
+    n = 5 if args.n is None else args.n
+    direction = Direction(args.direction or "downward")
+    parity = Parity(args.parity or "even")
     if fam == "chain":
-        return geometry.make_chain(args.n, direction)
+        return geometry.make_chain(n, direction)
     if fam == "zigzag":
-        return geometry.make_zigzag(args.n, parity, direction)
+        return geometry.make_zigzag(n, parity, direction)
     if fam == "rchain":
         if args.r is None or args.k is None:
             raise CliError("rchain needs --r and --k")
         return geometry.make_rchain(args.r, args.k, corners=args.corners)
     if fam == "double-chain":
-        return geometry.double_chain(args.n).points
-    if fam == "double-zigzag":
-        return geometry.double_zigzag(args.n, parity).points
-    raise CliError(f"unknown family {fam}")
+        return geometry.double_chain(n).points
+    return geometry.double_zigzag(n, parity).points
 
 
 def cmd_gen(args) -> int:
@@ -385,7 +404,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and reused by every later one."""
     top = argparse.ArgumentParser(
         prog="ncmatch",
         description="exact matching counts and growth rates for chain constructions",
@@ -395,14 +416,14 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a point-set JSON file")
     p.add_argument("--family", required=True,
                    choices=["chain", "zigzag", "rchain", "double-chain", "double-zigzag"])
-    p.add_argument("--n", type=int, default=5)
+    # --n, --parity and --direction default per family (5, even, downward)
+    p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--parity", choices=["even", "odd"], default="even")
-    p.add_argument("--direction", choices=["downward", "upward"], default="downward")
+    p.add_argument("--parity", choices=["even", "odd"])
+    p.add_argument("--direction", choices=["downward", "upward"])
     p.add_argument("--corners", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("count", help="oracle census of a point-set JSON file")
     p.add_argument("--input", required=True)
@@ -412,7 +433,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with enumeration caps, e.g. "
                                     '{"caps": {"all": 18}}')
     p.add_argument("--out")
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("recurse", help="recursion tables")
     p.add_argument("--family", required=True, choices=["zigzag", "rchain"])
@@ -422,7 +442,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["down-free", "all"], default="down-free")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_recurse)
 
     p = sub.add_parser("growth", help="exact and float growth constants")
     p.add_argument("--family", default="rchain", choices=["zigzag", "rchain"])
@@ -430,26 +449,22 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--corners", action="store_true")
     p.add_argument("--variant", choices=["down-free", "perfect", "all"], default="down-free")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("table", help="growth summary table")
     p.add_argument("--max-r", type=int, default=20)
     p.add_argument("--corners", action="store_true")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("double-pm", help="perfect matchings of a double construction")
     p.add_argument("--construction", default="dc", choices=["dc"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_double_pm)
 
     p = sub.add_parser("subeig", help="build and verify a growth certificate")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--epsilon", default="1/10", help="positive rational like 1/100")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_subeig)
 
     p = sub.add_parser("verify", help="oracle-vs-recursion report over a size grid")
     p.add_argument("--family", required=True,
@@ -457,14 +472,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-points", type=int, default=10)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
     return top
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # looked up per call, so a cmd_* replaced after the first build is the one run
+    func = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return func(args)
     except (CliError, oracle.SizeCapError, ValueError, OSError) as exc:
         print(f"ncmatch: {exc}", file=sys.stderr)
         return 2

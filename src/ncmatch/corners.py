@@ -117,6 +117,20 @@ def _stable_bands(r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return extract_band(r).bands
 
 
+@lru_cache(maxsize=None)
+def _head_tables(r: int) -> tuple[tuple[list[list[int]], ...], tuple[list[int], ...]]:
+    """Parity prefixes of the four coefficient families of r, in the order
+    (no_corner, left_in, right_in, both_in), and their window sums up to
+    alpha = r - 1, the upper bound once i + j >= r - 1."""
+    coeffs = corner_coefficients(r)
+    prefixes = tuple(
+        _parity_prefix(fam)
+        for fam in (coeffs.no_corner, coeffs.left_in, coeffs.right_in, coeffs.both_in)
+    )
+    windows = tuple([pre[q & 1][r] - pre[q & 1][q] for q in range(r)] for pre in prefixes)
+    return prefixes, windows
+
+
 def _exact_rows(
     c_prev: Sequence[int], f_prev: Sequence[int], coeffs: CornerCoefficients, stop: int
 ) -> tuple[list[int], list[int]]:
@@ -130,9 +144,7 @@ def _exact_rows(
     """
     r = coeffs.r
     Z, I, W, U = coeffs.no_corner, coeffs.left_in, coeffs.right_in, coeffs.both_in
-    prefixes = pz, pi, pw, pu = [_parity_prefix(fam) for fam in (Z, I, W, U)]
-    # window sums up to alpha = r - 1, the upper bound once i + j >= r - 1
-    wz, wi, ww, wu = ([pre[q & 1][r] - pre[q & 1][q] for q in range(r)] for pre in prefixes)
+    (pz, pi, pw, pu), (wz, wi, ww, wu) = _head_tables(r)
     c_new = [0] * stop
     f_new = [0] * stop
     for j in range(min(len(c_prev), stop + r)):
@@ -255,11 +267,9 @@ def extract_band(r: int, probe: int | None = None) -> CoupledSystem:
     responses = (_exact_rows(unit, zero, coeffs, size), _exact_rows(zero, unit, coeffs, size))
 
     def band_of(resp: list[int]) -> tuple[int, ...]:
-        grab = lambda idx: resp[idx] if 0 <= idx < len(resp) else 0
-        for idx, val in enumerate(resp):
-            if val and abs(i0 - idx) > r:
-                raise AssertionError(f"response outside bandwidth at offset {i0 - idx}")
-        return tuple(grab(i0 - beta) for beta in range(-r, r + 1))
+        if any(resp[: i0 - r]) or any(resp[i0 + r + 1 :]):
+            raise AssertionError(f"response outside bandwidth |beta| <= {r}")
+        return tuple(resp[i0 + r : i0 - r - 1 : -1])
 
     return CoupledSystem(r, tuple(tuple(map(band_of, row)) for row in zip(*responses)))
 

@@ -143,12 +143,6 @@ def _eval_poly_series(coeffs, series, order):
     return out
 
 
-def quartic_residual(series: list, order: int) -> list:
-    """Plug a series (ints or Fractions) into the defining quartic; the zero
-    series certifies it."""
-    return _eval_poly_series(_QUARTIC, series, order)
-
-
 def closed_form_coeffs(kmax: int) -> list[int]:
     """Coefficients of the power-series root of the quartic, by Newton
     iteration on formal power series over the integers.  F'(C) has constant

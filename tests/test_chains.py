@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ncmatch.chains import (
+    _growth_factors,
     arc_count,
     best_arc_size,
     excursion_growth,
@@ -262,3 +263,30 @@ class TestVariants:
         assert all(x < y for x, y in zip(am_rates, am_rates[1:]))
         assert 2.7 < pm_rates[-1] < 3
         assert 3.6 < am_rates[-1] < 4
+
+
+def _reference_best_arc_size(lams: list[int]) -> tuple[int, float]:
+    """Arg-max of lams[r - 1] ** (1/r), compared by exact cross powers."""
+    best_r = 1
+    for r in range(2, len(lams) + 1):
+        if lams[r - 1] ** best_r > lams[best_r - 1] ** r:
+            best_r = r
+    return best_r, float(lams[best_r - 1]) ** (1.0 / best_r)
+
+
+class TestBatchGrowthFactors:
+    @pytest.mark.parametrize("kind", ["down-free", "perfect", "all"])
+    def test_one_pass_equals_per_r_factors(self, kind):
+        assert _growth_factors(300, kind) == [growth_factor(r, kind) for r in range(1, 301)]
+
+    @pytest.mark.parametrize("kind", ["down-free", "perfect", "all"])
+    def test_best_arc_size_equals_reference_loop(self, kind):
+        lams = [growth_factor(r, kind) for r in range(1, 191)]
+        for limit in [*range(1, 61), 190]:
+            assert best_arc_size(limit, kind) == _reference_best_arc_size(lams[:limit])
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown kind"):
+            best_arc_size(5, "bogus")
+        with pytest.raises(ValueError, match="unknown kind"):
+            _growth_factors(5, "bogus")

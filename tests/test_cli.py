@@ -419,3 +419,98 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     code, out, err = run(capsys, "table", "--max-r", "3")
     assert code == 3 and out == ""
     assert err == "ncmatch: internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize(
+    "argv,flags",
+    [
+        (["--family", "zigzag", "--n", "3", "--r", "5", "--k", "2", "--corners"], "--r, --k, --corners"),
+        (["--family", "rchain", "--r", "2", "--k", "2", "--n", "40", "--parity", "odd"], "--n, --parity"),
+        (["--family", "rchain", "--r", "2", "--k", "2", "--n", "0"], "--n"),
+        (["--family", "chain", "--parity", "odd"], "--parity"),
+        (["--family", "double-chain", "--direction", "upward"], "--direction"),
+    ],
+)
+def test_gen_flag_of_another_family_is_usage_error(capsys, argv, flags):
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"ncmatch: gen --family {argv[1]} does not take {flags}\n"
+
+
+def test_gen_defaults_resolve_per_family(capsys):
+    from ncmatch import geometry
+
+    _, out, _ = run(capsys, "gen", "--family", "zigzag")
+    want = geometry.make_zigzag(5, geometry.Parity.EVEN, geometry.Direction.DOWNWARD)
+    assert json.loads(out) == geometry.to_json_dict(want)
+    _, out, _ = run(capsys, "gen", "--family", "double-zigzag", "--n", "4")
+    assert json.loads(out) == geometry.to_json_dict(geometry.double_zigzag(4).points)
+
+
+def test_parser_is_built_once():
+    import ncmatch.cli as cli
+
+    assert cli._parser() is cli._parser()
+
+
+def _run_every_subcommand(capsys, pts, fresh_parser: bool) -> list:
+    import ncmatch.cli as cli
+
+    runs = [
+        ["gen", "--family", "zigzag", "--n", "7"],
+        ["gen", "--family", "rchain", "--r", "2", "--k", "2", "--n", "4"],
+        ["count", "--input", str(pts), "--kind", "all"],
+        ["recurse", "--family", "zigzag", "--kmax", "5", "--format", "json"],
+        ["recurse", "--family", "rchain", "--r", "3", "--corners", "--kmax", "4"],
+        ["growth", "--r", "4", "--corners"],
+        ["growth", "--family", "zigzag", "--variant", "all"],
+        ["table", "--max-r", "6", "--corners"],
+        ["table", "--max-r", "6", "--format", "json"],
+        ["table", "--bogus"],
+        ["double-pm", "--construction", "dc", "--n", "8"],
+        ["subeig", "--r", "2", "--epsilon", "1/10"],
+        ["verify", "--family", "rchain", "--max-points", "5"],
+    ]
+    seen = []
+    for argv in runs:
+        if fresh_parser:
+            cli._parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = ("exit", exc.code)
+        seen.append((argv, code, capsys.readouterr().out))
+    return seen
+
+
+def test_reused_parser_gives_the_bytes_of_a_fresh_one(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    run(capsys, "gen", "--family", "chain", "--n", "6", "--out", str(pts))
+    reused = _run_every_subcommand(capsys, pts, fresh_parser=False)
+    fresh = _run_every_subcommand(capsys, pts, fresh_parser=True)
+    assert reused == fresh
+    assert [code for _, code, _ in reused] == [0, 2, 0, 0, 0, 0, 0, 0, 0, ("exit", 2), 0, 0, 0]
+
+
+def test_command_patched_after_the_parser_is_built_is_run(monkeypatch, capsys):
+    import ncmatch.cli as cli
+
+    cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_double_pm", lambda args: seen.append(args.n) or 0)
+    code, out, _ = run(capsys, "double-pm", "--n", "6")
+    assert (code, out, seen) == (0, "", [6])
+
+
+def test_import_builds_no_parser():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ncmatch
+
+    src = str(Path(ncmatch.__file__).resolve().parents[1])
+    probe = "import ncmatch.cli as cli; print(cli._parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, check=True)
+    assert done.stdout == "0\n"

@@ -290,6 +290,29 @@ class TestBandExtraction:
         # the bottom-right condensed entry for r = 9 recomputes to 17030
         assert extract_band(9).condensed == ((8907, 8123), (18550, 17030))
 
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_response_outside_the_band_is_caught(self, monkeypatch, r):
+        # the probe sits at 2r + 2; row r + 1 is offset beta = r + 1, row r + 2 is beta = r
+        from ncmatch import corners
+
+        real, clean = corners._exact_rows, extract_band(r)
+
+        def injected(row):
+            def rows(c_prev, f_prev, coeffs, stop):
+                c_new, f_new = real(c_prev, f_prev, coeffs, stop)
+                f_new[row] += 1
+                return c_new, f_new
+
+            return rows
+
+        monkeypatch.setattr(corners, "_exact_rows", injected(r + 1))
+        with pytest.raises(AssertionError, match="outside bandwidth"):
+            extract_band(r)
+        monkeypatch.setattr(corners, "_exact_rows", injected(r + 2))
+        moved = extract_band(r)
+        assert moved.bands[1][1][2 * r] == clean.bands[1][1][2 * r] + 1
+        assert moved.bands[0] == clean.bands[0]
+
     def test_cross_band_sum_is_previous_growth_factor(self):
         from ncmatch.chains import growth_factor
 
