@@ -254,8 +254,7 @@ def cmd_table(args) -> int:
     else:
         header = ["r", "growth_factor", "rate"]
         table = []
-        for r in range(1, args.max_r + 1):
-            lam = chains.growth_factor(r)
+        for r, lam in enumerate(chains._growth_factors(args.max_r, "down-free"), 1):
             table.append([r, lam, f"{QuadNumber.from_rational(lam).root_float(r):.4f}"])
     _emit(args, _tabular(args.format, header, table))
     return 0

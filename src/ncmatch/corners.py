@@ -96,7 +96,8 @@ def coupled_step(
     from row r on every index bound of those sums is slack, so the rest is
     the stabilized band of ``extract_band(r)``, read once per r.  With
     ``rows`` only the first ``rows`` entries are computed.  Trailing
-    entries that are zero in both states are dropped.
+    entries that are zero in both states are dropped.  Both parts are cached
+    per r, so other families than corner_coefficients(r) raise ValueError.
     """
     n = max(len(c_prev), len(f_prev))
     if len(c_prev) < n:
@@ -118,17 +119,17 @@ def _stable_bands(r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _head_tables(r: int) -> tuple[tuple[list[list[int]], ...], tuple[list[int], ...]]:
-    """Parity prefixes of the four coefficient families of r, in the order
-    (no_corner, left_in, right_in, both_in), and their window sums up to
-    alpha = r - 1, the upper bound once i + j >= r - 1."""
+def _head_tables(r: int) -> tuple[CornerCoefficients, tuple, tuple]:
+    """corner_coefficients(r), the parity prefixes of its four families in
+    the order (no_corner, left_in, right_in, both_in), and their window sums
+    up to alpha = r - 1, the upper bound once i + j >= r - 1."""
     coeffs = corner_coefficients(r)
     prefixes = tuple(
         _parity_prefix(fam)
         for fam in (coeffs.no_corner, coeffs.left_in, coeffs.right_in, coeffs.both_in)
     )
     windows = tuple([pre[q & 1][r] - pre[q & 1][q] for q in range(r)] for pre in prefixes)
-    return prefixes, windows
+    return coeffs, prefixes, windows
 
 
 def _exact_rows(
@@ -141,10 +142,14 @@ def _exact_rows(
     |i - j| <= r, so only inputs below stop + r are read and a unit probe
     costs O(r).  The small-index irregularities are nothing but the index
     bounds of the sums, so no separately tabulated corner cases exist.
+    Every table is cached per r, so `coeffs` must be corner_coefficients(r);
+    other families raise ValueError.
     """
     r = coeffs.r
-    Z, I, W, U = coeffs.no_corner, coeffs.left_in, coeffs.right_in, coeffs.both_in
-    (pz, pi, pw, pu), (wz, wi, ww, wu) = _head_tables(r)
+    std, (pz, pi, pw, pu), (wz, wi, ww, wu) = _head_tables(r)
+    if coeffs != std:
+        raise ValueError(f"coefficients differ from corner_coefficients({r})")
+    Z, I, W = std.no_corner, std.left_in, std.right_in
     c_new = [0] * stop
     f_new = [0] * stop
     for j in range(min(len(c_prev), stop + r)):

@@ -1,9 +1,11 @@
 """Exact-rational planar point sets: chains, zigzag chains, r-chains, doubles.
 
 All coordinates are :class:`fractions.Fraction`; every predicate is an exact
-sign computation, so order types are decided without tolerances.  Each
-constructor validates the order type it promises (an exhaustive triple scan)
-and raises rather than return a set with the wrong combinatorics.
+sign computation, so order types are decided without tolerances.  One
+integer pass per set, ``_side_masks``, gives the points strictly left and
+right of each line i -> j as bitmasks; general position, the high-above
+relation, the oracle's tables and each constructor's promised upward
+triples (checked for every triple) are all read off it.
 
 Conventions.  Points are indexed 1..n from left to right in prose and
 docstrings, 0..n-1 in code.  Three points with increasing x-coordinates are
@@ -17,7 +19,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from math import lcm
+from typing import Callable, Optional, Sequence
 
 Point = tuple[Fraction, Fraction]
 
@@ -46,6 +49,49 @@ def orientation(a: Point, b: Point, c: Point) -> Orientation:
     if det < 0:
         return Orientation.CW
     return Orientation.COLLINEAR
+
+
+def _side_masks(points: Sequence[Point]) -> tuple[list[int], list[int]]:
+    """Bitmasks of the points strictly left (CCW) and strictly right (CW) of
+    the line i -> j for each pair i < j, in (i, j) order: integer signs once
+    the denominators are cleared; a point on the line is in neither mask."""
+    scale = lcm(*(c.denominator for p in points for c in p))
+    pts = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+           for x, y in points]
+    left, right = [], []
+    for (xi, yi), (xj, yj) in combinations(pts, 2):
+        dx, dy = xj - xi, yj - yi
+        lmask = rmask = 0
+        for p, (x, y) in enumerate(pts):
+            det = dx * (y - yi) - dy * (x - xi)
+            if det > 0:
+                lmask |= 1 << p
+            elif det < 0:
+                rmask |= 1 << p
+        left.append(lmask)
+        right.append(rmask)
+    return left, right
+
+
+def _order_type_breach(
+    points: Sequence[Point], marked: set, turn: Orientation = Orientation.CW
+) -> Optional[tuple[int, int, int]]:
+    """The first index triple i < j < k that breaks the promise "exactly the
+    triples in `marked` turn `turn`, every other triple turns the opposite
+    way"; None if the points keep it.  A collinear triple breaks it."""
+    left, right = _side_masks(points)
+    if turn is Orientation.CCW:
+        left, right = right, left
+    n = len(points)
+    want: dict[tuple[int, int], int] = {}
+    for i, j, k in marked:
+        want[i, j] = want.get((i, j), 0) | 1 << k
+    for (i, j), other, turning in zip(combinations(range(n), 2), left, right):
+        up = want.get((i, j), 0)
+        bad = ((1 << n) - (2 << j)) & ~(turning & up | other & ~up)  # among k > j
+        if bad:
+            return i, j, (bad & -bad).bit_length() - 1
+    return None
 
 
 def _pt(x, y) -> Point:
@@ -78,8 +124,12 @@ class PointSet:
         for u, v in zip(xs, xs[1:]):
             if not u < v:
                 raise ValueError(f"{where}x-coordinates not strictly increasing")
-        for a, b, c in combinations(self.points, 3):
-            if orientation(a, b, c) is Orientation.COLLINEAR:
+        n = len(self.points)
+        left, right = _side_masks(self.points)
+        for (i, j), lmask, rmask in zip(combinations(range(n), 2), left, right):
+            on = ~(lmask | rmask) & (1 << n) - (2 << j)  # on the line, past j
+            if on:
+                a, b, c = (self.points[t] for t in (i, j, (on & -on).bit_length() - 1))
                 raise ValueError(f"{where}collinear triple {a}, {b}, {c}")
         return self
 
@@ -128,23 +178,15 @@ def make_zigzag(
     if n < 1:
         raise ValueError("zigzag chain needs at least one point")
     want = 0 if parity is Parity.EVEN else 1
-    lifted = [j for j in range(1, n - 1) if (j + 1) % 2 == want]
-    pts = []
-    for j in range(n):
-        y = Fraction(j * j)
-        if j in lifted:
-            y = Fraction(j * j) + Fraction(3, 2)  # chord height is j*j + 1
-        pts.append(_pt(j, y))
-    if direction is Direction.UPWARD:
-        pts = [(x, -y) for x, y in pts]
-    ps = PointSet(tuple(pts), f"zigzag(n={n},{parity.value},{direction.value})").validate()
-
+    lifted = {j for j in range(1, n - 1) if (j + 1) % 2 == want}
+    sign = 1 if direction is Direction.DOWNWARD else -1
+    # a lifted point sits 1/2 above its neighbours' chord, of height j*j + 1
+    pts = tuple(_pt(j, sign * (j * j + (Fraction(3, 2) if j in lifted else 0))) for j in range(n))
+    ps = PointSet(pts, f"zigzag(n={n},{parity.value},{direction.value})").validate()
     up = Orientation.CW if direction is Direction.DOWNWARD else Orientation.CCW
-    expected_up = {(j - 1, j, j + 1) for j in lifted}
-    for i, j, k in combinations(range(n), 3):
-        o = orientation(ps[i], ps[j], ps[k])
-        if ((i, j, k) in expected_up) != (o is up):
-            raise AssertionError(f"zigzag order type broken at triple {(i, j, k)}")
+    broken = _order_type_breach(ps.points, {(j - 1, j, j + 1) for j in lifted}, up)
+    if broken:
+        raise AssertionError(f"zigzag order type broken at triple {broken}")
     return ps
 
 
@@ -170,25 +212,10 @@ def _rchain_points(r: int, k: int) -> tuple[tuple[Point, ...], list[range]]:
                 pts.append(_pt(x, chord + bump))
             pts.append(_pt(b, b * b))
             arcs.append(range(start, len(pts)))
-        if _rchain_order_type_ok(pts, arcs):
+        # upward exactly within an arc, downward across arcs
+        if not _order_type_breach(pts, {t for rng in arcs for t in combinations(rng, 3)}):
             return tuple(pts), arcs
     raise AssertionError("no bulge height realizes the r-chain order type")
-
-
-def _rchain_order_type_ok(pts: Sequence[Point], arcs: list[range]) -> bool:
-    arc_of = {}
-    for ai, rng in enumerate(arcs):
-        for i in rng:
-            arc_of.setdefault(i, set()).add(ai)
-    for i, j, k in combinations(range(len(pts)), 3):
-        shared = arc_of[i] & arc_of[j] & arc_of[k]
-        o = orientation(pts[i], pts[j], pts[k])
-        if shared:
-            if o is not Orientation.CW:
-                return False
-        elif o is not Orientation.CCW:
-            return False
-    return True
 
 
 def make_rchain(r: int, k: int, corners: bool = True) -> PointSet:
@@ -214,23 +241,23 @@ def make_rchain(r: int, k: int, corners: bool = True) -> PointSet:
 # ---------------------------------------------------------------------------
 
 
-def _above_line(p: Point, a: Point, b: Point) -> bool:
-    """True iff p is strictly above the line through a and b (a.x != b.x)."""
-    if a[0] > b[0]:
-        a, b = b, a
-    return orientation(a, b, p) is Orientation.CCW
-
-
 def is_high_above(upper: PointSet, lower: PointSet) -> bool:
-    """Every upper point clears every lower chord, and vice versa (exact)."""
-    for a, b in combinations(lower.points, 2):
-        for p in upper.points:
-            if not _above_line(p, a, b):
-                return False
-    for a, b in combinations(upper.points, 2):
-        for q in lower.points:
-            if _above_line(q, a, b):
-                return False
+    """Every upper point is strictly above every lower chord, and no lower
+    point is strictly above an upper chord; a lower point may lie on one.
+
+    "Above" a chord is the left side of the line from its left end to its
+    right end (from its first end to its second if they share x).
+    """
+    pts = upper.points + lower.points
+    n_up = len(upper.points)
+    ups = (1 << n_up) - 1
+    lows = (1 << len(pts)) - 1 - ups
+    left, right = _side_masks(pts)
+    for (i, j), lmask, rmask in zip(combinations(range(len(pts)), 2), left, right):
+        above = rmask if pts[i][0] > pts[j][0] else lmask
+        # lower chords need every upper point above, upper chords no lower point
+        if i >= n_up and above & ups != ups or j < n_up and above & lows:
+            return False
     return True
 
 

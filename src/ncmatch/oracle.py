@@ -1,11 +1,12 @@
 """Brute-force enumeration of non-crossing matchings on exact point sets.
 
 This is the ground-truth engine: it never uses the counting recursions it is
-meant to check.  All geometry is resolved up front, by integer determinants
-once the denominators are cleared, into bitmask tables (segment crossings,
-which edges block a point's vertical rays).  One backtracking sweep over the
-points in x-order, using only bitmask tests, hands each *skeleton* to a leaf
-fold (tally, list or count), so exactness costs nothing inside the hot loop.
+meant to check.  All geometry is resolved up front into bitmask tables
+(segment crossings, which edges block a point's vertical rays), read off
+``geometry._side_masks``, the library's one integer order-type pass, and
+cached per point tuple.  One backtracking sweep over the points in x-order,
+using only bitmask tests, hands each *skeleton* to a leaf fold (tally, list
+or count), so exactness costs nothing inside the hot loop.
 A skeleton is a matching up to its *loose* points: unmatched points that
 may be either free or a runner because no edge passes over them (only
 ``RHO_DOWN_FREE`` has any).  The sweep marks them instead of branching on
@@ -32,11 +33,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import count
-from math import comb, lcm
+from functools import lru_cache
+from itertools import combinations, count
+from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
-from .geometry import DoubleSet, PointSet
+from .geometry import DoubleSet, PointSet, _side_masks
 
 
 class MatchKind(enum.Enum):
@@ -100,31 +102,17 @@ class _Tables:
 
     __slots__ = ("n", "pairs", "eid", "cross", "below", "above", "moves")
 
-    def __init__(self, ps: PointSet):
-        pts = ps.points
-        n = len(pts)
-        # one common denominator keeps every orientation an integer sign
-        scale = lcm(*(c.denominator for p in pts for c in p))
-        xs = [x.numerator * (scale // x.denominator) for x, _ in pts]
-        ys = [y.numerator * (scale // y.denominator) for _, y in pts]
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    def __init__(self, points: tuple):
+        n = len(points)
+        pairs = list(combinations(range(n), 2))
         eid = {pair: k for k, pair in enumerate(pairs)}
         # left[e]: the points strictly left of (so above) the line i -> j
-        left = []
+        left, _ = _side_masks(points)
         below = [0] * n  # edges that block the downward ray of point p
         above = [0] * n  # edges that block the upward ray
         for k, (i, j) in enumerate(pairs):
-            dx, dy = xs[j] - xs[i], ys[j] - ys[i]
-            mask = 0
-            for p in range(n):
-                if dx * (ys[p] - ys[i]) > dy * (xs[p] - xs[i]):
-                    mask |= 1 << p
-            left.append(mask)
             for p in range(i + 1, j):
-                if (mask >> p) & 1:
-                    below[p] |= 1 << k
-                else:
-                    above[p] |= 1 << k
+                (below if left[k] >> p & 1 else above)[p] |= 1 << k
         cross = [0] * len(pairs)
         for x, (i, j) in enumerate(pairs):
             for y in range(x + 1, len(pairs)):
@@ -147,18 +135,12 @@ class _Tables:
             self.moves[i].append((1 << j, 1 << k, cross[k]))
 
 
-_TABLE_CACHE: dict[tuple, _Tables] = {}
+_tables_of = lru_cache(maxsize=64)(_Tables)
 
 
 def _tables(ps: PointSet) -> _Tables:
-    key = ps.points
-    tab = _TABLE_CACHE.get(key)
-    if tab is None:
-        tab = _Tables(ps)
-        if len(_TABLE_CACHE) > 64:
-            _TABLE_CACHE.clear()
-        _TABLE_CACHE[key] = tab
-    return tab
+    """The tables of `ps`, cached by its point tuple (the label is ignored)."""
+    return _tables_of(ps.points)
 
 
 def _check_cap(ps: PointSet, kind: MatchKind, cap: Optional[int]) -> None:

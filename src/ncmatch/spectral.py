@@ -89,10 +89,9 @@ def _check_eigen(mat, m, left, right) -> None:
     assert rx * a + ry * b == m * rx and rx * c + ry * e == m * ry
 
 
-def weighted_drift(sys: CoupledSystem, eig: Optional[EigenData] = None) -> QuadNumber:
+def weighted_drift(sys: CoupledSystem) -> QuadNumber:
     """Eigenvector-weighted total jump size of the coupled system."""
-    if eig is None:
-        eig = eigen_data(sys.condensed)
+    eig = eigen_data(sys.condensed)
     terms = (lx * ry * d for lx, row in zip(eig.left, sys.jumps) for ry, d in zip(eig.right, row))
     return sum(terms, _Q(0))
 
@@ -116,15 +115,14 @@ class RescaledSystem:
         return tuple(sum((v for band in col for v in band), _Q(0)) for col in zip(*self.bands))
 
 
-def rescale(sys: CoupledSystem, eig: Optional[EigenData] = None) -> RescaledSystem:
+def rescale(sys: CoupledSystem) -> RescaledSystem:
     """The similarity bands[x][y] * l_x / l_y by the left eigenvector l.
 
     Each cross ratio is computed once and the diagonal bands stay unscaled.
     Afterwards both condensed column sums equal M exactly and the drift
     condition takes its symmetric sum-form; growth behaviour is unchanged.
     """
-    if eig is None:
-        eig = eigen_data(sys.condensed)
+    eig = eigen_data(sys.condensed)
     left = eig.left
     bands = [[tuple(map(_Q, band)) for band in row] for row in sys.bands]
     for x, y in ((0, 1), (1, 0)):

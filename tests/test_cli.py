@@ -514,3 +514,51 @@ def test_import_builds_no_parser():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={"PYTHONPATH": src}, check=True)
     assert done.stdout == "0\n"
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (("chain", "--n", "9", "--direction", "upward"),
+         "232066cfd87498694c0606dd6b9f149aa465370f827b4f4ed638c377aa6fdce8"),
+        (("zigzag", "--n", "12", "--parity", "odd"),
+         "a396db422e267bc406549f3234c65d374c98a022777da332f2735d09427eddfc"),
+        (("zigzag", "--n", "11", "--direction", "upward"),
+         "b50a1330041ea47a82e81adc9e1a6b97eaa012204ba595060d46f372ef28efa7"),
+        (("rchain", "--r", "4", "--k", "3", "--corners"),
+         "9958d4f8f3fa1cd820dea6c7cb1ed354b4223a31924e9da4595039f65eee8580"),
+        (("rchain", "--r", "3", "--k", "4"),
+         "7cb260dae749082e06cf1f5ab58eda5e739165e9d8231fdf976ce79a7564e761"),
+        (("double-chain", "--n", "12"),
+         "fe22bed5f651f1436461ae346d737fb26e856469e35c3fc416c1ee5e3cc37c41"),
+        (("double-zigzag", "--n", "12", "--parity", "odd"),
+         "60a6b4c992b67dfd6dd3518b636d5b5517b878054f0485bf6d0eeb63bd7a59b9"),
+    ],
+)
+def test_gen_output_is_pinned(capsys, argv, digest):
+    # the constructions' coordinates are byte-stable by contract
+    code, out, _ = run(capsys, "gen", "--family", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "fmt,digest",
+    [
+        ("csv", "dbd2d4b6127c37e1c7a027fb1a1f29f41e3df761e45dac557ff514ea5f82e17c"),
+        ("json", "a0989922a12338c0c9a289adcaaaf8651c467b87527e10b9b6a3c11d0145cd52"),
+    ],
+)
+def test_table_to_sixty_is_pinned(capsys, fmt, digest):
+    code, out, _ = run(capsys, "table", "--max-r", "60", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_table_takes_its_factors_in_one_pass(monkeypatch, capsys):
+    from ncmatch import chains
+
+    monkeypatch.setattr(chains, "growth_factor", lambda *a: pytest.fail("per-row growth_factor"))
+    code, out, _ = run(capsys, "table", "--max-r", "12")
+    assert code == 0
+    assert out.splitlines()[11] == "11,240054,3.0840"

@@ -350,3 +350,27 @@ class TestCondensedTable:
     def test_single_arc_eigenvalue_is_three(self):
         m = dominant_eigenvalue(CONDENSED_FIXTURES[1])
         assert as_fraction(m) == 3
+
+
+@pytest.mark.parametrize("r", [1, 4, 9])
+def test_altered_coefficients_are_refused(r):
+    # the head tables and the stabilized bands are cached per r, so families
+    # other than corner_coefficients(r) would be silently mixed with them
+    from dataclasses import replace
+
+    coeffs = corner_coefficients(r)
+    bump = lambda fam: tuple(v + 1 for v in fam)
+    altered = [
+        replace(coeffs, left_in=bump(coeffs.left_in), both_in=bump(coeffs.both_in)),
+        replace(coeffs, no_corner=bump(coeffs.no_corner)),
+        replace(coeffs, right_in=bump(coeffs.right_in)),
+        replace(coeffs, both_in=bump(coeffs.both_in)),
+    ]
+    c_vec, f_vec = [1, 2, 3] * r, [3, 0, 1] * r
+    for bad in altered:
+        with pytest.raises(ValueError, match="corner_coefficients"):
+            _exact_rows(c_vec, f_vec, bad, 2 * r)
+        with pytest.raises(ValueError, match="corner_coefficients"):
+            coupled_step(c_vec, f_vec, bad)
+    # an equal copy is accepted and agrees with the row-by-row reference
+    assert _exact_rows(c_vec, f_vec, corner_coefficients(r), 4 * r) == _reference_rows(c_vec, f_vec, coeffs, 4 * r)
