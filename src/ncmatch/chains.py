@@ -22,9 +22,9 @@ excursions of a lattice walk whose step multiplicities are the stabilized
 diagonal values, which ties the growth constant to the step polynomial
 P(u) = sum w_beta u^beta through its minimum P(tau), P'(tau) = 0.
 
-Replacing the arc factor C(r-i, floor((r-i)/2)) by a Catalan or Motzkin
-number counts perfect or arbitrary matchings instead of down-free ones; the
-same column sum then gives those growth factors.
+Replacing the arc tail C(r-i, floor((r-i)/2)) by a Catalan or Motzkin number
+counts perfect or arbitrary matchings, with the same column sums.  ``_tails``
+defines the tails of each kind once; ``corners`` and ``doubling`` read them.
 
 ``runner_step`` evaluates rows below r from the windows and every later row,
 where the window is always full, as a Toeplitz band convolution
@@ -41,25 +41,35 @@ from math import comb
 from operator import add, mul
 from typing import Iterable, Literal, Sequence
 
-from .doubling import catalan, motzkin
-
 ArcKind = Literal["down-free", "perfect", "all"]
+
+_TAIL_TABLES: dict[str, list[int]] = {"down-free": [1, 1], "perfect": [1, 0], "all": [1, 1]}
+
+
+def _tails(stop: int, kind: ArcKind) -> list[int]:
+    """[tail(m) for m < stop], matchings of m runner-free arc points, tabled
+    once per kind: down-free C(m, floor(m/2)), perfect Catalan(m/2) (0 for
+    odd m), all Motzkin(m) by (m+2) M(m) = (2m+1) M(m-1) + 3(m-1) M(m-2)."""
+    table = _TAIL_TABLES.get(kind)
+    if table is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    for m in range(len(table), stop):
+        if kind == "all":
+            table.append(((2 * m + 1) * table[m - 1] + 3 * (m - 1) * table[m - 2]) // (m + 2))
+        elif kind == "perfect" and m % 2:
+            table.append(0)
+        else:
+            central = comb(m, m // 2)
+            table.append(central if kind == "down-free" else central // (m // 2 + 1))
+    return table[:stop]
 
 
 def arc_count(r: int, i: int, kind: ArcKind = "down-free") -> int:
     """Configurations of a single r-point arc with i runners."""
+    tails = _tails(r + 1, kind)  # refuses an unknown kind for every i
     if i < 0 or i > r:
         return 0
-    rest = r - i
-    if kind == "down-free":
-        tail = comb(rest, rest // 2)
-    elif kind == "perfect":
-        tail = catalan(rest // 2) if rest % 2 == 0 else 0
-    elif kind == "all":
-        tail = motzkin(rest)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return comb(r, i) * tail
+    return comb(r, i) * tails[r - i]
 
 
 @lru_cache(maxsize=None)
@@ -77,11 +87,10 @@ def growth_factor(r: int, kind: ArcKind = "down-free") -> int:
 def _growth_factors(limit: int, kind: ArcKind) -> list[int]:
     """[growth_factor(r, kind) for r = 1..limit] in one pass.
 
-    arc_count(r, i) = C(r, i) * tail(r - i) with tail(m) = arc_count(m, 0),
-    so each r needs only the next Pascal row, built from the previous one,
-    and the tails, tabulated once.
+    arc_count(r, i) = C(r, i) * tail(r - i), so each r needs only the next
+    Pascal row, built from the previous one, and the tails, read once.
     """
-    tails = [arc_count(m, 0, kind) for m in range(limit + 1)]
+    tails = _tails(limit + 1, kind)
     row = [1]
     out = []
     for r in range(1, limit + 1):

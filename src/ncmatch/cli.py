@@ -462,7 +462,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subeig", help="build and verify a growth certificate")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--epsilon", default="1/10", help="positive rational like 1/100")
+    p.add_argument("--epsilon", default="1/10", help="rational in (0, M) like 1/100, M the eigenvalue")
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="oracle-vs-recursion report over a size grid")

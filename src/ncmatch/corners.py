@@ -13,14 +13,17 @@ with C[0] = F[0] = [1] and the chain's down-free count equal to F[k][0].
 
 One step attaches a fresh arc.  Four coefficient families describe what the
 arc contributes, indexed by the number alpha of runners chosen among its
-r - 1 interior points (binomial factor C(r-1, alpha) throughout; the second
-factor counts down-free matchings of the points that participate):
+r - 1 interior points: C(r-1, alpha) times down-free arc tails (``chains``)
+of the m = r - 1 - alpha runner-free interior points plus the corners in use:
 
-    no_corner[alpha]   neither corner of the arc takes part,
+    no_corner[alpha]   neither corner of the arc takes part: tail(m),
     left_in[alpha]     the left corner takes part and must be matched
-                       (it absorbs a runner arriving from the left),
-    right_in[alpha]    the right corner takes part as an ordinary point,
-    both_in[alpha]     both corners take part, the left one matched.
+                       (it absorbs a runner arriving from the left):
+                       tail(m + 1) - tail(m),
+    right_in[alpha]    the right corner takes part as an ordinary point:
+                       tail(m + 1) = no_corner + left_in,
+    both_in[alpha]     both corners take part, the left one matched:
+                       tail(m + 2) - tail(m + 1).
 
 The six contribution sums below (three per state class) encode which side
 each runner group must match to; window sums over alpha carry the same
@@ -49,10 +52,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
-from .chains import _banded_step, _parity_prefix
+from .chains import _banded_step, _parity_prefix, _tails
 from .quadfield import QuadNumber
 
 
@@ -70,17 +73,10 @@ class CornerCoefficients:
 def corner_coefficients(r: int) -> CornerCoefficients:
     if r < 1:
         raise ValueError("r must be positive")
-    no_corner, left_in, right_in, both_in = [], [], [], []
-    for a in range(r):
-        pick = comb(r - 1, a)
-        rest = r - 1 - a
-        no_corner.append(pick * comb(rest, rest // 2))
-        left_in.append(pick * (comb(rest + 1, (rest + 1) // 2) - comb(rest, rest // 2)))
-        right_in.append(pick * comb(rest + 1, (rest + 1) // 2))
-        both_in.append(pick * (comb(rest + 2, (rest + 2) // 2) - comb(rest + 1, (rest + 1) // 2)))
-    return CornerCoefficients(
-        r, tuple(no_corner), tuple(left_in), tuple(right_in), tuple(both_in)
-    )
+    picks = [comb(r - 1, a) for a in range(r)]
+    tails = _tails(r + 2, "down-free")
+    z, w, u = (tuple(map(mul, picks, tails[r - 1 + extra :: -1])) for extra in range(3))
+    return CornerCoefficients(r, z, tuple(map(sub, w, z)), w, tuple(map(sub, u, w)))
 
 
 def coupled_step(

@@ -5,24 +5,25 @@ perfect matchings factor through the down-free matchings of one half: a
 down-free matching with j free points on top pairs with an up-free matching
 with j free points below in exactly one way, so the perfect-matching count
 is the sum over j of (number of down-free matchings with j free points)
-squared.
+squared.  Catalan and Motzkin numbers are read from the arc tails of
+``chains``.
 """
 
 from __future__ import annotations
 
-from math import comb
+from .chains import _tails, arc_count
 
 
 def catalan(k: int) -> int:
     if k < 0:
         raise ValueError("negative index")
-    return comb(2 * k, k) // (k + 1)
+    return _tails(2 * k + 1, "perfect")[2 * k]
 
 
 def motzkin(n: int) -> int:
     if n < 0:
         raise ValueError("negative index")
-    return sum(comb(n, 2 * k) * catalan(k) for k in range(n // 2 + 1))
+    return _tails(n + 1, "all")[n]
 
 
 def profile_from_by_free(by_free: dict[int, int]) -> list[int]:
@@ -37,18 +38,10 @@ def pm_of_double(profile: list[int]) -> int:
 
 
 def chain_profile(m: int) -> list[int]:
-    """Free-point profile of an m-point downward chain.
-
-    Every matching of a downward chain is down-free, and the matchings with
-    j free points number C(m, j) * catalan((m - j) / 2) (zero for odd m - j).
-    """
-    out = []
-    for j in range(m + 1):
-        if (m - j) % 2:
-            out.append(0)
-        else:
-            out.append(comb(m, j) * catalan((m - j) // 2))
-    return out
+    """Free-point profile of an m-point downward chain, all of whose matchings
+    are down-free: j free points in C(m, j) * catalan((m - j) / 2) of them
+    (zero for odd m - j), the perfect arc count with j runners."""
+    return [arc_count(m, j, "perfect") for j in range(m + 1)]
 
 
 def double_chain_pm(n: int) -> int:

@@ -302,10 +302,10 @@ def _predecessor(delta: QuadNumber, value: QuadNumber, root: QuadNumber) -> Quad
 def build_certificate(
     resc: RescaledSystem, epsilon: Fraction | int
 ) -> SubEigenCertificate:
-    """Gap search, shift, and clip: the constructive side of the lower bound."""
+    """Gap search, shift, and clip: the lower bound M - epsilon, 0 < epsilon < M."""
     epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if epsilon <= 0 or _Q(epsilon) >= resc.m:
+        raise ValueError("epsilon must lie between 0 and the eigenvalue M, exclusive")
     delta = shift_constant(resc)  # refuses nonzero drift
     qx, qy = residual_constants(resc, delta)
     k_const = qx if qx >= qy else qy

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
+from .corners import dominant_eigenvalue, extract_band
 from .quadfield import QuadNumber
 
 Kind = Literal["down-free", "all"]
@@ -167,11 +168,9 @@ def closed_form_coeffs(kmax: int) -> list[int]:
 
 
 def growth_constant() -> tuple[QuadNumber, float]:
-    """Exact growth rate of c (per index) and the per-point base.
-
-    Returns ((9 + sqrt(93))/2, sqrt of its float value ~ 3.0532).
-    """
-    rate = QuadNumber(9, 1, 2, 93)
+    """Exact growth rate of c (per index) and the per-point base: the 2-chain
+    with corners' dominant eigenvalue ((9 + sqrt(93))/2) and ~3.0532."""
+    rate = dominant_eigenvalue(extract_band(2).condensed)
     return rate, rate.root_float(2)
 
 

@@ -58,7 +58,7 @@ class TestArcCounts:
         ps = make_chain(6, Direction.UPWARD)
         assert census(ps, MatchKind.DOWN_FREE).total == 20
 
-    @pytest.mark.parametrize("r", range(1, 8))
+    @pytest.mark.parametrize("r", range(1, 13))
     def test_row_matches_oracle(self, r):
         assert arc_counts(r) == census_runners(make_chain(r, Direction.UPWARD))
 
@@ -290,3 +290,6 @@ class TestBatchGrowthFactors:
             best_arc_size(5, "bogus")
         with pytest.raises(ValueError, match="unknown kind"):
             _growth_factors(5, "bogus")
+        for i in (6, -1):
+            with pytest.raises(ValueError, match="unknown kind"):
+                arc_count(5, i, "bogus")

@@ -212,14 +212,22 @@ def test_subeig_small(capsys):
         (8, "1/10", "5f3015d7dc8706460ed268621c101014858ad8da236d33278ca291d8f2909108"),
         (8, "1/100", "211ffecd873d0007436fb2d74b4d1102facd54ccf7adf63ad4ea6093ec9fefea"),
         (2, "5", "4ddb4b58c6961981d1ee59b65f14ce0764d0292c4b12c7e6cdb824dc232b5f4c"),
-        (2, "1000000000", "c10131cc98a8632c4f9ee8184c4d2109665573735b5a524cf3d68980f7c94732"),
     ],
 )
 def test_subeig_output_is_pinned(capsys, r, eps, digest):
-    # at eps 5 and 10**9 the peak sits at the head of the value set
+    # at eps 5 the peak sits near the head of the value set
     code, out, _ = run(capsys, "subeig", "--r", str(r), "--epsilon", eps)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("r,eps", [(1, "3"), (2, "100"), (2, "1000000000")])
+def test_subeig_epsilon_at_or_above_eigenvalue_is_usage_error(capsys, r, eps):
+    # M - eps <= 0 bounds nothing (M = 3 exactly at r = 1, about 9.32 at r = 2)
+    code, out, err = run(capsys, "subeig", "--r", str(r), "--epsilon", eps)
+    assert code == 2
+    assert out == ""
+    assert "between 0 and the eigenvalue" in err
 
 
 def test_subeig_bad_epsilon(capsys):

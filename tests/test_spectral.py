@@ -204,10 +204,15 @@ class TestCertificates:
         assert loose.p < tight.p
 
     def test_huge_epsilon_peak_near_head_of_value_set(self):
-        resc = rescale(extract_band(8))
-        cert = build_certificate(resc, Fraction(10**9))
+        # M = 3 exactly at r = 1; an epsilon just below it needs only a tiny peak
+        resc = rescale(extract_band(1))
+        cert = build_certificate(resc, Fraction(299, 100))
         assert cert.p <= 4
         assert verify_certificate(resc, cert)
+        # from epsilon = M on, M - epsilon <= 0 bounds nothing
+        for r, eps in ((1, 3), (8, 10**9)):
+            with pytest.raises(ValueError, match="between 0 and the eigenvalue"):
+                build_certificate(rescale(extract_band(r)), Fraction(eps))
 
     @pytest.mark.parametrize("r", [2, 8])
     def test_undersized_peak_fails(self, r):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ncmatch import zigzag
+from ncmatch.corners import coupled_series
 from ncmatch.geometry import Parity, make_zigzag
 from ncmatch.oracle import MatchKind, census
 from ncmatch.quadfield import QuadNumber
@@ -36,6 +37,17 @@ def test_counts_match_oracle_all_four_kinds(k):
     assert census(make_zigzag(2 * k + 1, Parity.ODD), MatchKind.DOWN_FREE).total == zz.b[k]
     assert census(make_zigzag(2 * k, Parity.EVEN), MatchKind.DOWN_FREE).total == zz.c[k]
     assert census(make_zigzag(2 * k, Parity.ODD), MatchKind.DOWN_FREE).total == zz.c[k]
+
+
+def test_series_is_the_two_chain_corner_recursion():
+    """The down-free zigzag is the 2-chain with corners: a, b and c are read
+    off the coupled states (C[k], F[k]), a missing entry counting as 0."""
+    kmax = 300
+    zz = zigzag_series(kmax)
+    for k, (c_vec, f_vec) in enumerate(coupled_series(2, kmax)):
+        assert zz.a[k] == f_vec[0]
+        assert zz.c[k] == c_vec[0]
+        assert zz.b[k] == c_vec[0] + (c_vec[1] if len(c_vec) > 1 else 0)
 
 
 def quartic_residual(series: list, order: int) -> list:
