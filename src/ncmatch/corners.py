@@ -29,11 +29,13 @@ The six contribution sums below (three per state class) encode which side
 each runner group must match to; window sums over alpha carry the same
 |i-j| <= alpha <= i+j parity constraint as the corner-free recursion.
 
-Those index bounds only bite near the start of the vectors.  From row r on
+The jumps and their multiplicities depend on r alone, so the recursion is
+keyed by r: families, window sums and band are built once per r and cached.
+The index bounds only bite near the start of the vectors.  From row r on
 none of them is active, so a step evaluates rows 0..r-1 (the head, width r)
 from the six sums and every later row as a Toeplitz band convolution, with
-the shared banded kernel of ``chains``.  The band coefficients are read once
-per r by ``extract_band``, which probes the six sums themselves.  The sums
+the shared banded kernel of ``chains``.  The band coefficients are read by
+``extract_band``, which probes the six sums themselves.  The sums
 are evaluated column by column and visit only the nonzero inputs, so a unit
 probe costs O(r); the tests check on random vectors, for r = 1..20, that the
 kernel equals the sums on every row.
@@ -82,26 +84,27 @@ def corner_coefficients(r: int) -> CornerCoefficients:
 def coupled_step(
     c_prev: Sequence[int],
     f_prev: Sequence[int],
-    coeffs: CornerCoefficients,
+    r: int,
     *,
     rows: int | None = None,
 ) -> tuple[list[int], list[int]]:
-    """One arc-attachment step of the coupled recursion, exactly.
+    """One step of the r-chain's coupled recursion, attaching an r-point arc.
 
     Rows below r come from the six contribution sums (``_exact_rows``);
     from row r on every index bound of those sums is slack, so the rest is
     the stabilized band of ``extract_band(r)``, read once per r.  With
     ``rows`` only the first ``rows`` entries are computed.  Trailing
-    entries that are zero in both states are dropped.  Both parts are cached
-    per r, so other families than corner_coefficients(r) raise ValueError.
+    entries that are zero in both states are dropped.
     """
+    if r < 1:
+        raise ValueError("r must be positive")
     n = max(len(c_prev), len(f_prev))
     if len(c_prev) < n:
         c_prev = list(c_prev) + [0] * (n - len(c_prev))
     if len(f_prev) < n:
         f_prev = list(f_prev) + [0] * (n - len(f_prev))
-    head = lambda stop: _exact_rows(c_prev, f_prev, coeffs, stop)
-    c_new, f_new = _banded_step((c_prev, f_prev), _stable_bands(coeffs.r), head, rows)
+    head = lambda stop: _exact_rows(c_prev, f_prev, r, stop)
+    c_new, f_new = _banded_step((c_prev, f_prev), _stable_bands(r), head, rows)
     while len(c_new) > 1 and c_new[-1] == 0 and f_new[-1] == 0:
         c_new.pop()
         f_new.pop()
@@ -115,21 +118,20 @@ def _stable_bands(r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _head_tables(r: int) -> tuple[CornerCoefficients, tuple, tuple]:
-    """corner_coefficients(r), the parity prefixes of its four families in
-    the order (no_corner, left_in, right_in, both_in), and their window sums
-    up to alpha = r - 1, the upper bound once i + j >= r - 1."""
+def _head_tables(r: int) -> tuple[tuple, tuple, tuple]:
+    """The families (no_corner, left_in, right_in) of corner_coefficients(r),
+    the parity prefixes of all four families in the order (no_corner,
+    left_in, right_in, both_in), and their window sums up to alpha = r - 1,
+    the upper bound once i + j >= r - 1."""
     coeffs = corner_coefficients(r)
-    prefixes = tuple(
-        _parity_prefix(fam)
-        for fam in (coeffs.no_corner, coeffs.left_in, coeffs.right_in, coeffs.both_in)
-    )
+    families = (coeffs.no_corner, coeffs.left_in, coeffs.right_in, coeffs.both_in)
+    prefixes = tuple(map(_parity_prefix, families))
     windows = tuple([pre[q & 1][r] - pre[q & 1][q] for q in range(r)] for pre in prefixes)
-    return coeffs, prefixes, windows
+    return families[:3], prefixes, windows
 
 
 def _exact_rows(
-    c_prev: Sequence[int], f_prev: Sequence[int], coeffs: CornerCoefficients, stop: int
+    c_prev: Sequence[int], f_prev: Sequence[int], r: int, stop: int
 ) -> tuple[list[int], list[int]]:
     """Rows 0..stop-1 of one step, straight from the six contribution sums.
 
@@ -138,14 +140,8 @@ def _exact_rows(
     |i - j| <= r, so only inputs below stop + r are read and a unit probe
     costs O(r).  The small-index irregularities are nothing but the index
     bounds of the sums, so no separately tabulated corner cases exist.
-    Every table is cached per r, so `coeffs` must be corner_coefficients(r);
-    other families raise ValueError.
     """
-    r = coeffs.r
-    std, (pz, pi, pw, pu), (wz, wi, ww, wu) = _head_tables(r)
-    if coeffs != std:
-        raise ValueError(f"coefficients differ from corner_coefficients({r})")
-    Z, I, W = std.no_corner, std.left_in, std.right_in
+    (Z, I, W), (pz, pi, pw, pu), (wz, wi, ww, wu) = _head_tables(r)
     c_new = [0] * stop
     f_new = [0] * stop
     for j in range(min(len(c_prev), stop + r)):
@@ -185,12 +181,13 @@ def _exact_rows(
 
 def coupled_series(r: int, kmax: int) -> list[tuple[list[int], list[int]]]:
     """States (C[k], F[k]) for k = 0..kmax, from C[0] = F[0] = [1]."""
+    if r < 1:
+        raise ValueError("r must be positive")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    coeffs = corner_coefficients(r)
     states = [([1], [1])]
     for _ in range(kmax):
-        states.append(coupled_step(*states[-1], coeffs))
+        states.append(coupled_step(*states[-1], r))
     return states
 
 
@@ -201,13 +198,14 @@ def chain_counts(r: int, kmax: int) -> list[int]:
     only the first r*(kmax-k) + 1 entries of step k (its light cone), and
     each step is truncated to them.
     """
+    if r < 1:
+        raise ValueError("r must be positive")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    coeffs = corner_coefficients(r)
     c_vec, f_vec = [1], [1]
     counts = [1]
     for k in range(1, kmax + 1):
-        c_vec, f_vec = coupled_step(c_vec, f_vec, coeffs, rows=r * (kmax - k) + 1)
+        c_vec, f_vec = coupled_step(c_vec, f_vec, r, rows=r * (kmax - k) + 1)
         counts.append(f_vec[0])
     return counts
 
@@ -256,7 +254,8 @@ def extract_band(r: int, probe: int | None = None) -> CoupledSystem:
     transcribing 4(2r+1) closed forms by hand.  The band support
     |beta| <= r is verified.
     """
-    coeffs = corner_coefficients(r)
+    if r < 1:
+        raise ValueError("r must be positive")
     i0 = probe if probe is not None else 2 * r + 2
     if i0 < 2 * r:
         raise ValueError("probe index must sit in the stabilized region")
@@ -265,7 +264,7 @@ def extract_band(r: int, probe: int | None = None) -> CoupledSystem:
     zero = [0] * (i0 + 1)
     size = i0 + 1 + r
     # responses[y][x]: the x-state rows after a unit y-state
-    responses = (_exact_rows(unit, zero, coeffs, size), _exact_rows(zero, unit, coeffs, size))
+    responses = (_exact_rows(unit, zero, r, size), _exact_rows(zero, unit, r, size))
 
     def band_of(resp: list[int]) -> tuple[int, ...]:
         if any(resp[: i0 - r]) or any(resp[i0 + r + 1 :]):

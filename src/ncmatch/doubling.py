@@ -41,6 +41,8 @@ def chain_profile(m: int) -> list[int]:
     """Free-point profile of an m-point downward chain, all of whose matchings
     are down-free: j free points in C(m, j) * catalan((m - j) / 2) of them
     (zero for odd m - j), the perfect arc count with j runners."""
+    if m < 0:
+        raise ValueError("negative index")
     return [arc_count(m, j, "perfect") for j in range(m + 1)]
 
 

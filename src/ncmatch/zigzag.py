@@ -36,7 +36,7 @@ is sqrt((9+sqrt(105))/2) ~ 3.1022.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 from .corners import dominant_eigenvalue, extract_band
 from .quadfield import QuadNumber
@@ -87,6 +87,8 @@ def zigzag_series(kmax: int, kind: Kind = "down-free") -> ZigzagSeries:
     """Sequences up to index kmax (chains up to 2*kmax+1 points)."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    if kind not in get_args(Kind):
+        raise ValueError(f"unknown kind {kind!r}")
     a, b, c = [1], [1], [1]
     for _ in range(kmax):
         _extend(a, b, c, kind)

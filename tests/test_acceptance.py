@@ -216,9 +216,8 @@ def test_criterion_9_ratio_diagnostics():
     ok &= abs(head[-1] / head[-2] - 271) / 271 < 0.01
 
     # corner chains, r = 8: consecutive count ratio near the eigenvalue
-    from ncmatch.corners import corner_coefficients, coupled_step
+    from ncmatch.corners import coupled_step
 
-    coeffs = corner_coefficients(8)
     m_exact = dominant_eigenvalue(extract_band(8).condensed)
     m_float = m_exact.to_float()
     m_upper = m_exact.approx(96) + Fraction(1, 2**90)  # certified rational bound
@@ -227,7 +226,7 @@ def test_criterion_9_ratio_diagnostics():
     power = Fraction(1)
     guard = 1 + Fraction(1, 2**40)
     for k in range(1, 302):
-        c_vec, f_vec = coupled_step(c_vec, f_vec, coeffs)
+        c_vec, f_vec = coupled_step(c_vec, f_vec, 8)
         f_head.append(f_vec[0])
         if k <= 200:
             power *= m_upper

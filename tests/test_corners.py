@@ -149,6 +149,19 @@ class TestCoupledRecursion:
         assert with_mark == want_c
         assert without == want_f
 
+    @pytest.mark.parametrize("r", [0, -1, -3])
+    def test_arc_size_below_one_rejected(self, r):
+        # with r = 0 no table is built, so kmax = 0 must not slip through
+        for kmax in (0, 3):
+            with pytest.raises(ValueError, match="r must be positive"):
+                coupled_series(r, kmax)
+            with pytest.raises(ValueError, match="r must be positive"):
+                chain_counts(r, kmax)
+        with pytest.raises(ValueError, match="r must be positive"):
+            extract_band(r)
+        with pytest.raises(ValueError, match="r must be positive"):
+            coupled_step([1], [1], r)
+
     def test_states_stay_nonnegative_with_bounded_support(self):
         for r in (2, 3, 5):
             for k, (c, f) in enumerate(coupled_series(r, 5)):
@@ -171,19 +184,18 @@ class TestBandedKernel:
     @pytest.mark.parametrize("r", range(1, 21))
     def test_head_width_r_is_exact_on_every_row(self, r):
         rng = random.Random(r)
-        coeffs = corner_coefficients(r)
         for n in (1, 2, r, r + 1, 2 * r + 3, 3 * r + 7):
             c_vec = [rng.randrange(0, 10**30) for _ in range(n)]
             f_vec = [rng.randrange(0, 10**30) for _ in range(n)]
             c_vec[rng.randrange(n)] = 0
-            want_c, want_f = _exact_rows(c_vec, f_vec, coeffs, n + r)
-            assert coupled_step(c_vec, f_vec, coeffs) == _trimmed(want_c, want_f)
+            want_c, want_f = _exact_rows(c_vec, f_vec, r, n + r)
+            assert coupled_step(c_vec, f_vec, r) == _trimmed(want_c, want_f)
             rows = rng.randrange(1, n + r + 1)
-            assert coupled_step(c_vec, f_vec, coeffs, rows=rows) == _trimmed(want_c[:rows], want_f[:rows])
+            assert coupled_step(c_vec, f_vec, r, rows=rows) == _trimmed(want_c[:rows], want_f[:rows])
             # unequal lengths are zero-padded
             short = f_vec[: max(1, n // 2)]
-            want_c, want_f = _exact_rows(c_vec, short + [0] * (n - len(short)), coeffs, n + r)
-            assert coupled_step(c_vec, short, coeffs) == _trimmed(want_c, want_f)
+            want_c, want_f = _exact_rows(c_vec, short + [0] * (n - len(short)), r, n + r)
+            assert coupled_step(c_vec, short, r) == _trimmed(want_c, want_f)
 
     def test_bands_are_probed_once_per_r(self, monkeypatch):
         from ncmatch import corners
@@ -245,7 +257,7 @@ class TestExactRowsAgainstReference:
             for c_vec, f_vec in ((unit, zero), (zero, unit)):
                 want_c, want_f = _reference_rows(c_vec, f_vec, coeffs, n + r)
                 for stop in _stops(r, n):
-                    assert _exact_rows(c_vec, f_vec, coeffs, stop) == (want_c[:stop], want_f[:stop])
+                    assert _exact_rows(c_vec, f_vec, r, stop) == (want_c[:stop], want_f[:stop])
 
     @pytest.mark.parametrize("r", _SIZES)
     def test_sparse_random_vectors(self, r):
@@ -257,7 +269,7 @@ class TestExactRowsAgainstReference:
                 c_vec, f_vec = draw(), draw()
                 want_c, want_f = _reference_rows(c_vec, f_vec, coeffs, n + r)
                 for stop in _stops(r, n):
-                    assert _exact_rows(c_vec, f_vec, coeffs, stop) == (want_c[:stop], want_f[:stop])
+                    assert _exact_rows(c_vec, f_vec, r, stop) == (want_c[:stop], want_f[:stop])
 
     @pytest.mark.parametrize("r", range(1, 31))
     def test_band_does_not_depend_on_the_probe(self, r):
@@ -298,8 +310,8 @@ class TestBandExtraction:
         real, clean = corners._exact_rows, extract_band(r)
 
         def injected(row):
-            def rows(c_prev, f_prev, coeffs, stop):
-                c_new, f_new = real(c_prev, f_prev, coeffs, stop)
+            def rows(c_prev, f_prev, r, stop):
+                c_new, f_new = real(c_prev, f_prev, r, stop)
                 f_new[row] += 1
                 return c_new, f_new
 
@@ -350,27 +362,3 @@ class TestCondensedTable:
     def test_single_arc_eigenvalue_is_three(self):
         m = dominant_eigenvalue(CONDENSED_FIXTURES[1])
         assert as_fraction(m) == 3
-
-
-@pytest.mark.parametrize("r", [1, 4, 9])
-def test_altered_coefficients_are_refused(r):
-    # the head tables and the stabilized bands are cached per r, so families
-    # other than corner_coefficients(r) would be silently mixed with them
-    from dataclasses import replace
-
-    coeffs = corner_coefficients(r)
-    bump = lambda fam: tuple(v + 1 for v in fam)
-    altered = [
-        replace(coeffs, left_in=bump(coeffs.left_in), both_in=bump(coeffs.both_in)),
-        replace(coeffs, no_corner=bump(coeffs.no_corner)),
-        replace(coeffs, right_in=bump(coeffs.right_in)),
-        replace(coeffs, both_in=bump(coeffs.both_in)),
-    ]
-    c_vec, f_vec = [1, 2, 3] * r, [3, 0, 1] * r
-    for bad in altered:
-        with pytest.raises(ValueError, match="corner_coefficients"):
-            _exact_rows(c_vec, f_vec, bad, 2 * r)
-        with pytest.raises(ValueError, match="corner_coefficients"):
-            coupled_step(c_vec, f_vec, bad)
-    # an equal copy is accepted and agrees with the row-by-row reference
-    assert _exact_rows(c_vec, f_vec, corner_coefficients(r), 4 * r) == _reference_rows(c_vec, f_vec, coeffs, 4 * r)

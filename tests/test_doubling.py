@@ -65,6 +65,13 @@ def test_odd_size_rejected():
         double_chain_pm(7)
 
 
+@pytest.mark.parametrize("func", [catalan, motzkin, chain_profile])
+def test_negative_index_rejected(func):
+    for m in (-1, -3):
+        with pytest.raises(ValueError, match="negative index"):
+            func(m)
+
+
 @pytest.mark.parametrize(
     "builder,n",
     [

@@ -24,6 +24,13 @@ def test_base_values():
     assert zz.b[1] == 4
 
 
+@pytest.mark.parametrize("kind", ["perfect", "bogus"])
+def test_unknown_kind_rejected(kind):
+    # only down-free and all have a zigzag recursion
+    with pytest.raises(ValueError, match="unknown kind"):
+        zigzag_series(3, kind)
+
+
 def test_positive_and_dominated():
     zz = zigzag_series(30)
     for k in range(30):
