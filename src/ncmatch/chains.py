@@ -26,9 +26,12 @@ Replacing the arc tail C(r-i, floor((r-i)/2)) by a Catalan or Motzkin number
 counts perfect or arbitrary matchings, with the same column sums.  ``_tails``
 defines the tails of each kind once; ``corners`` and ``doubling`` read them.
 
-``runner_step`` evaluates rows below r from the windows and every later row,
-where the window is always full, as a Toeplitz band convolution
-(``_banded_step``, shared with the coupled corner recursion).
+The left edge is a reflection.  Row i's window stops at i + j, so entry
+(i, j) is the stabilized diagonal value at offset i - j minus the one at
+i + j + 2, the offset of row i from the image -j - 2 of column j.
+``runner_step`` therefore applies the stabilized Toeplitz band
+(``_banded_step``, shared with the coupled corner recursion) to the vector
+extended by its odd reflection, with no separate rows near the edge.
 ``BandMatrix.apply`` stays an entry-by-entry evaluation, a second route
 that the tests compare the kernel against.
 """
@@ -73,8 +76,9 @@ def arc_count(r: int, i: int, kind: ArcKind = "down-free") -> int:
 
 
 @lru_cache(maxsize=None)
-def _arc_counts_cached(r: int, kind: ArcKind) -> tuple[int, ...]:
-    return tuple(arc_count(r, i, kind) for i in range(r + 1))
+def _arc_counts_cached(r: int) -> tuple[int, ...]:
+    """The down-free arc counts of one r-point arc, i = 0..r runners."""
+    return tuple(arc_count(r, i) for i in range(r + 1))
 
 
 def growth_factor(r: int, kind: ArcKind = "down-free") -> int:
@@ -111,7 +115,7 @@ class BandMatrix:
     stabilized: bool = False
 
     def _window_sum(self, lo: int, hi: int) -> int:
-        row = _arc_counts_cached(self.r, "down-free")
+        row = _arc_counts_cached(self.r)
         return sum(row[b] for b in range(lo, min(hi, self.r) + 1, 2))
 
     def entry(self, i: int, j: int) -> int:
@@ -186,74 +190,48 @@ def runner_step(vec: Sequence[int], r: int) -> list[int]:
     """One exact step v_{k-1} -> v_k; the support grows by r.
 
     Row i sums the parity window |i-j| <= beta <= min(r, i+j) of the arc
-    counts.  From row r on every window reaches r, so rows below r are
-    evaluated from the windows and the rest is the stabilized Toeplitz band.
+    counts, which is the stabilized diagonal at offset i - j minus the image
+    window that starts at i + j + 2.  So the step is the stabilized Toeplitz
+    band applied to vec extended by its odd reflection: index -1 holds 0 and
+    index -j-2 holds -vec[j] for j < r - 1.
     """
     if r < 1:
         raise ValueError("r must be positive")
-    prefix, band = _runner_tables(r)
-    head = lambda stop: [_runner_rows(vec, r, prefix, stop)]
-    return _banded_step((vec,), ((band,),), head)[0]
+    image = [-v for v in reversed(vec[: r - 1])]
+    reflected = [0] * (r - 1 - len(image)) + image + [0, *vec]
+    return _banded_step((reflected,), ((_runner_band(r),),))[0]
 
 
 @lru_cache(maxsize=None)
-def _runner_tables(r: int) -> tuple[list[list[int]], tuple[int, ...]]:
-    """(parity prefix of the arc counts, stabilized band at offsets -r..r)."""
-    prefix = _parity_prefix(_arc_counts_cached(r, "down-free"))
-    band = tuple(prefix[q & 1][r + 1] - prefix[q & 1][q] for q in map(abs, range(-r, r + 1)))
-    return prefix, band
+def _runner_band(r: int) -> tuple[int, ...]:
+    """The stabilized band at offsets -r..r: the full parity windows."""
+    windows = _parity_windows(_arc_counts_cached(r))
+    return tuple(windows[abs(q)] for q in range(-r, r + 1))
 
 
-def _parity_prefix(row: Sequence[int]) -> list[list[int]]:
-    """prefix[p][t] = sum of row[b] for b < t with b = p (mod 2)."""
-    out = [[0] * (len(row) + 1) for _ in range(2)]
-    for p in range(2):
-        acc = 0
-        for t in range(len(row)):
-            if t % 2 == p:
-                acc += row[t]
-            out[p][t + 1] = acc
-    return out
+def _parity_windows(row: Sequence[int]) -> list[int]:
+    """[sum(row[q::2]) for q < len(row)], as one suffix pass."""
+    out = [*row, 0, 0]
+    for q in range(len(row) - 1, -1, -1):
+        out[q] += out[q + 2]
+    return out[: len(row)]
 
 
-def _runner_rows(vec: Sequence[int], r: int, prefix, stop: int) -> list[int]:
-    """Rows 0..stop-1 of one step, straight from the parity windows."""
-    n = len(vec)
-    out = [0] * stop
-    for i in range(stop):
-        acc = 0
-        for j in range(max(0, i - r), min(n, i + r + 1)):
-            v = vec[j]
-            if not v:
-                continue
-            q = abs(i - j)
-            hi = min(r, i + j)
-            p = q & 1
-            acc += (prefix[p][hi + 1] - prefix[p][q]) * v
-        out[i] = acc
-    return out
-
-
-def _banded_step(vecs, bands, head, rows: int | None = None) -> list[list[int]]:
-    """One exact step of a multi-state banded recursion of bandwidth r.
+def _banded_step(vecs, bands, rows: int | None = None) -> list[list[int]]:
+    """Rows r and up of one exact step of a multi-state banded recursion.
 
     ``vecs`` are the input states, all of one length n.  ``bands[x][y]``
     holds the 2r+1 stabilized coefficients of state x's response to state y
-    at offsets j - i = -r..r, exact for every row i >= r.  ``head(stop)``
-    evaluates rows 0..stop-1 of every state from the recursion's definition
-    and is called for the rows below r.  Every later row i is
-    sum_beta band[beta] * vec[i + beta], accumulated once per band offset
-    with C-level slice maps.  Returns one list per state of min(n + r, rows)
-    entries.
+    at offsets j - i = -r..r.  Row i >= r is sum_beta band[beta] *
+    vec[i + beta], accumulated once per band offset with C-level slice maps;
+    the rows below r would read indices below 0.  Returns one list per state
+    of rows r..size-1, where size = min(n + r, rows).
     """
     n = len(vecs[0])
     r = len(bands[0][0]) // 2
-    size = n + r if rows is None else min(n + r, rows)
-    outs = head(min(r, size))
-    span = size - r
-    if span <= 0:
-        return outs
-    for out, row in zip(outs, bands):
+    span = n if rows is None else min(n, rows - r)
+    outs = []
+    for row in bands:
         tail = [0] * span
         for vec, band in zip(vecs, row):
             for beta, coef in enumerate(band, -r):
@@ -261,7 +239,7 @@ def _banded_step(vecs, bands, head, rows: int | None = None) -> list[list[int]]:
                 m = min(span, n - start)
                 if coef and m > 0:
                     tail[:m] = map(add, tail, map(coef.__mul__, vec[start : start + m]))
-        out += tail
+        outs.append(tail)
     return outs
 
 
@@ -281,7 +259,10 @@ def excursions(mat: BandMatrix, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def excursion_growth(steps: Iterable[tuple[int, float]], tol: float = 1e-12) -> tuple[float, float]:
+_BISECTION_TOL = 1e-12
+
+
+def excursion_growth(steps: Iterable[tuple[int, float]]) -> tuple[float, float]:
     """Growth base of excursion counts for weighted steps [(jump, weight)].
 
     For P(u) = sum w_j u^{b_j} the base is C = P(tau) at the unique positive
@@ -304,7 +285,7 @@ def excursion_growth(steps: Iterable[tuple[int, float]], tol: float = 1e-12) -> 
         lo /= 2.0
     while dP(hi) < 0:
         hi *= 2.0
-    while hi - lo > tol:
+    while hi - lo > _BISECTION_TOL:
         mid = (lo + hi) / 2.0
         if dP(mid) < 0:
             lo = mid

@@ -168,7 +168,7 @@ def cmd_recurse(args) -> int:
         zz = zigzag.zigzag_series(args.kmax, args.variant)
         header = ["k", "odd_size_even_kind", "odd_size_odd_kind", "even_size"]
         table = [[k, zz.a[k], zz.b[k], zz.c[k]] for k in range(args.kmax + 1)]
-    elif args.family == "rchain":
+    else:  # rchain
         if args.r is None:
             raise CliError("rchain needs --r")
         if args.variant != "down-free":
@@ -182,8 +182,6 @@ def cmd_recurse(args) -> int:
                 [k, " ".join(map(str, vec))]
                 for k, vec in enumerate(chains.runner_series(args.r, args.kmax))
             ]
-    else:
-        raise CliError(f"unknown family {args.family}")
     _emit(args, _tabular(args.format, header, table))
     return 0
 
@@ -377,10 +375,8 @@ def cmd_verify(args) -> int:
         results = _verify_rchain(args.max_points, with_corners=False)
     elif args.family == "rchain-corners":
         results = _verify_rchain(args.max_points, with_corners=True)
-    elif args.family == "double":
+    else:  # double
         results = _verify_double(args.max_points)
-    else:
-        raise CliError(f"unknown family {args.family}")
     if not results:
         raise CliError(f"--max-points {args.max_points} leaves no case to verify")
     report = {

@@ -31,10 +31,12 @@ each runner group must match to; window sums over alpha carry the same
 
 The jumps and their multiplicities depend on r alone, so the recursion is
 keyed by r: families, window sums and band are built once per r and cached.
-The index bounds only bite near the start of the vectors.  From row r on
-none of them is active, so a step evaluates rows 0..r-1 (the head, width r)
-from the six sums and every later row as a Toeplitz band convolution, with
-the shared banded kernel of ``chains``.  The band coefficients are read by
+The index bounds only bite near the start of the vectors, and there only the
+window's upper end i + j does: as in ``chains``, a cut window is the full
+window from |i - j| minus its image, the full window from i + j + 2.  From
+row r on no bound is active, so a step evaluates rows 0..r-1 from the six
+sums and every later row as a Toeplitz band convolution, with the shared
+banded kernel of ``chains``.  The band coefficients are read by
 ``extract_band``, which probes the six sums themselves.  The sums
 are evaluated column by column and visit only the nonzero inputs, so a unit
 probe costs O(r); the tests check on random vectors, for r = 1..20, that the
@@ -57,7 +59,7 @@ from math import comb
 from operator import mul, sub
 from typing import Sequence
 
-from .chains import _banded_step, _parity_prefix, _tails
+from .chains import _banded_step, _parity_windows, _tails
 from .quadfield import QuadNumber
 
 
@@ -92,9 +94,10 @@ def coupled_step(
 
     Rows below r come from the six contribution sums (``_exact_rows``);
     from row r on every index bound of those sums is slack, so the rest is
-    the stabilized band of ``extract_band(r)``, read once per r.  With
-    ``rows`` only the first ``rows`` entries are computed.  Trailing
-    entries that are zero in both states are dropped.
+    the stabilized band of ``extract_band(r)``, read once per r and applied
+    by the banded kernel of ``chains``.  With ``rows`` only the first
+    ``rows`` entries are computed.  Trailing entries that are zero in both
+    states are dropped.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -103,8 +106,11 @@ def coupled_step(
         c_prev = list(c_prev) + [0] * (n - len(c_prev))
     if len(f_prev) < n:
         f_prev = list(f_prev) + [0] * (n - len(f_prev))
-    head = lambda stop: _exact_rows(c_prev, f_prev, r, stop)
-    c_new, f_new = _banded_step((c_prev, f_prev), _stable_bands(r), head, rows)
+    size = n + r if rows is None else min(n + r, rows)
+    c_new, f_new = _exact_rows(c_prev, f_prev, r, min(r, size))
+    c_tail, f_tail = _banded_step((c_prev, f_prev), _stable_bands(r), size)
+    c_new += c_tail
+    f_new += f_tail
     while len(c_new) > 1 and c_new[-1] == 0 and f_new[-1] == 0:
         c_new.pop()
         f_new.pop()
@@ -118,16 +124,13 @@ def _stable_bands(r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _head_tables(r: int) -> tuple[tuple, tuple, tuple]:
-    """The families (no_corner, left_in, right_in) of corner_coefficients(r),
-    the parity prefixes of all four families in the order (no_corner,
-    left_in, right_in, both_in), and their window sums up to alpha = r - 1,
-    the upper bound once i + j >= r - 1."""
+def _head_tables(r: int) -> tuple[tuple, tuple]:
+    """The families (no_corner, left_in, right_in) of corner_coefficients(r)
+    and the full parity windows sum(fam[q::2]), q < r, of all four families
+    in the order (no_corner, left_in, right_in, both_in)."""
     coeffs = corner_coefficients(r)
     families = (coeffs.no_corner, coeffs.left_in, coeffs.right_in, coeffs.both_in)
-    prefixes = tuple(map(_parity_prefix, families))
-    windows = tuple([pre[q & 1][r] - pre[q & 1][q] for q in range(r)] for pre in prefixes)
-    return families[:3], prefixes, windows
+    return families[:3], tuple(map(_parity_windows, families))
 
 
 def _exact_rows(
@@ -141,7 +144,7 @@ def _exact_rows(
     costs O(r).  The small-index irregularities are nothing but the index
     bounds of the sums, so no separately tabulated corner cases exist.
     """
-    (Z, I, W), (pz, pi, pw, pu), (wz, wi, ww, wu) = _head_tables(r)
+    (Z, I, W), (wz, wi, ww, wu) = _head_tables(r)
     c_new = [0] * stop
     f_new = [0] * stop
     for j in range(min(len(c_prev), stop + r)):
@@ -164,16 +167,15 @@ def _exact_rows(
             else:
                 lo = acc_c = acc_f = 0
             # window-coupled terms: arc runners fuse with j existing runners,
-            # |i-j| <= alpha <= min(r-1, i+j), alpha = i-j (mod 2)
+            # |i-j| <= alpha <= min(r-1, i+j), alpha = i-j (mod 2): the full
+            # window from lo minus its image, the full window from i + j + 2
             if lo < r:
-                if i + j >= r - 1:
-                    acc_c += wi[lo] * cp + wz[lo] * fp
-                    acc_f += wu[lo] * cp + ww[lo] * fp
-                else:
-                    hi = i + j + 1
-                    p = lo & 1
-                    acc_c += (pi[p][hi] - pi[p][lo]) * cp + (pz[p][hi] - pz[p][lo]) * fp
-                    acc_f += (pu[p][hi] - pu[p][lo]) * cp + (pw[p][hi] - pw[p][lo]) * fp
+                acc_c += wi[lo] * cp + wz[lo] * fp
+                acc_f += wu[lo] * cp + ww[lo] * fp
+                q = i + j + 2
+                if q < r:
+                    acc_c -= wi[q] * cp + wz[q] * fp
+                    acc_f -= wu[q] * cp + ww[q] * fp
             c_new[i] += acc_c
             f_new[i] += acc_f
     return c_new, f_new

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from ncmatch.chains import (
+    BandMatrix,
     _growth_factors,
+    _parity_windows,
     arc_count,
     best_arc_size,
     excursion_growth,
@@ -130,21 +132,33 @@ class TestRunnerRecursion:
 
 
 class TestBandedKernel:
-    """runner_step evaluates rows below r from the parity windows and the
-    rest as a Toeplitz band; every row must equal the definition."""
+    """runner_step applies the stabilized band to the reflected vector; every
+    row must equal the entry-by-entry definition."""
 
     @pytest.mark.parametrize("r", range(1, 21))
     def test_head_width_r_is_exact_on_every_row(self, r):
-        from ncmatch.chains import _runner_rows, _runner_tables
-
         rng = random.Random(r)
-        prefix, _ = _runner_tables(r)
         for n in (1, 2, r, r + 1, 2 * r + 3, 3 * r + 7):
             vec = [rng.randrange(-10**30, 10**30) for _ in range(n)]
             vec[rng.randrange(n)] = 0
-            want = _runner_rows(vec, r, prefix, n + r)
+            want = transfer_matrix(r).apply(vec)
+            assert len(want) == n + r
             assert runner_step(vec, r) == want
-            assert transfer_matrix(r).apply(vec) == want
+
+    @pytest.mark.parametrize("r", range(1, 21))
+    def test_left_edge_is_a_reflection(self, r):
+        # entry (i, j) is the stabilized diagonal at i - j minus the one at
+        # the image offset i + j + 2
+        mat = BandMatrix(r)
+        for i in range(3 * r + 3):
+            for j in range(3 * r + 3):
+                assert mat.entry(i, j) == mat.diagonal_value(i - j) - mat.diagonal_value(i + j + 2)
+
+    def test_parity_windows_are_slice_sums(self):
+        rng = random.Random(7)
+        for n in range(12):
+            row = [rng.randrange(-10**20, 10**20) for _ in range(n)]
+            assert _parity_windows(row) == [sum(row[q::2]) for q in range(n)]
 
     def test_series_is_one_pass_of_runner_counts(self):
         series = runner_series(3, 12)
@@ -210,8 +224,6 @@ class TestExcursions:
     @pytest.mark.parametrize("k", range(2, 8))
     def test_stabilized_matrix_sandwich(self, k):
         full = transfer_matrix(4)
-        from ncmatch.chains import BandMatrix
-
         shifted = BandMatrix(4, stabilized=True)
         assert excursions(shifted, k - 2) <= excursions(full, k) <= excursions(shifted, k)
 

@@ -3,7 +3,6 @@ from math import comb
 
 import pytest
 
-from ncmatch.chains import _parity_prefix
 from ncmatch.corners import (
     _exact_rows,
     chain_counts,
@@ -66,7 +65,6 @@ def _reference_rows(c_prev, f_prev, coeffs, stop):
     sums: every row loops over all of its window offsets."""
     r = coeffs.r
     Z, I, W, U = coeffs.no_corner, coeffs.left_in, coeffs.right_in, coeffs.both_in
-    pz, pi, pw, pu = map(_parity_prefix, (Z, I, W, U))
     n = len(c_prev)
     c_new = [0] * stop
     f_new = [0] * stop
@@ -97,13 +95,12 @@ def _reference_rows(c_prev, f_prev, coeffs, stop):
                 continue
             lo = abs(i - j)
             hi = min(r - 1, i + j) + 1
-            p = lo & 1
             if cp:
-                acc_c += (pi[p][hi] - pi[p][lo]) * cp
-                acc_f += (pu[p][hi] - pu[p][lo]) * cp
+                acc_c += sum(I[lo:hi:2]) * cp
+                acc_f += sum(U[lo:hi:2]) * cp
             if fp:
-                acc_c += (pz[p][hi] - pz[p][lo]) * fp
-                acc_f += (pw[p][hi] - pw[p][lo]) * fp
+                acc_c += sum(Z[lo:hi:2]) * fp
+                acc_f += sum(W[lo:hi:2]) * fp
         c_new[i] = acc_c
         f_new[i] = acc_f
     return c_new, f_new
@@ -270,6 +267,26 @@ class TestExactRowsAgainstReference:
                 want_c, want_f = _reference_rows(c_vec, f_vec, coeffs, n + r)
                 for stop in _stops(r, n):
                     assert _exact_rows(c_vec, f_vec, r, stop) == (want_c[:stop], want_f[:stop])
+
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_left_edge_is_a_reflection(self, r):
+        # row i's response to a unit at j is the stabilized band at offset
+        # j - i minus the window of the coupled family from i + j + 2
+        coeffs = corner_coefficients(r)
+        bands = extract_band(r).bands
+        families = ((coeffs.left_in, coeffs.no_corner), (coeffs.both_in, coeffs.right_in))
+        n = 3 * r + 4
+        zero = [0] * n
+        for j in range(n):
+            unit = [0] * n
+            unit[j] = 1
+            responses = (_reference_rows(unit, zero, coeffs, n + r), _reference_rows(zero, unit, coeffs, n + r))
+            for i in range(n + r):
+                for x in range(2):
+                    for y in range(2):
+                        band = bands[x][y][j - i + r] if abs(j - i) <= r else 0
+                        image = sum(families[x][y][i + j + 2 :: 2])
+                        assert responses[y][x][i] == band - image
 
     @pytest.mark.parametrize("r", range(1, 31))
     def test_band_does_not_depend_on_the_probe(self, r):
