@@ -18,8 +18,8 @@ print("k, odd-size even-kind, odd-size odd-kind, even-size:")
 for k in range(6):
     print(f"  {k}: {zz.a[k]:6d} {zz.b[k]:6d} {zz.c[k]:6d}")
 
-# The even-size sequence solves a quartic; Newton over the integers on the
-# formal power series gives the same numbers with no recursion in sight.
+# The even-size sequence solves a quartic; reading its root off one power-series
+# coefficient at a time gives the same numbers with no recursion in sight.
 print("\nseries coefficients equal the recursion:",
       closed_form_coeffs(40) == list(zigzag_series(40).c))
 

@@ -133,6 +133,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.cap is not None and args.cap < 0:
+        raise CliError(f"--cap must be a nonnegative integer, not {args.cap}")
     with open(args.input, encoding="utf-8") as fh:
         ps = geometry.from_json_dict(json.load(fh))
     kind = MatchKind(args.kind)

@@ -328,8 +328,6 @@ def make_double(constructor: Callable[[int], PointSet], n: int) -> DoubleSet:
     union = PointSet(pts, f"double({half.label})").validate()
     upper_idx = tuple(i for i, (_, side) in enumerate(tagged) if side == 0)
     lower_idx = tuple(i for i, (_, side) in enumerate(tagged) if side == 1)
-    if not is_high_above(union.subset(upper_idx), union.subset(lower_idx)):
-        raise AssertionError("double construction lost the high-above relation")
     return DoubleSet(union, upper_idx, lower_idx)
 
 
@@ -371,4 +369,7 @@ def from_json_dict(data: dict) -> PointSet:
         if xd == 0 or yd == 0:
             raise ValueError(f"point row {row!r} has a zero denominator")
         pts.append((Fraction(xn, xd), Fraction(yn, yd)))
-    return PointSet(tuple(pts), data.get("label", "")).validate()
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError(f"point-set label {label!r} is not a string")
+    return PointSet(tuple(pts), label).validate()

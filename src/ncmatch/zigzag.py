@@ -36,6 +36,7 @@ is sqrt((9+sqrt(105))/2) ~ 3.1022.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Literal, get_args
 
 from .corners import dominant_eigenvalue, extract_band
@@ -96,7 +97,7 @@ def zigzag_series(kmax: int, kind: Kind = "down-free") -> ZigzagSeries:
 
 
 # ---------------------------------------------------------------------------
-# power-series solution of the quartic (independent route to the c-sequence)
+# coefficient-by-coefficient solution of the quartic (independent route to c)
 # ---------------------------------------------------------------------------
 
 # coefficient polynomials of the quartic in C, low degree first
@@ -107,61 +108,25 @@ _QUARTIC = (
     [0, 0, -8, -16, -8, -8, -8],
     [0, 0, 0, 4, 12, 12, 8, 8, 4],
 )
-# ... and of its derivative in C
-_QUARTIC_DERIV = tuple([i * q for q in poly] for i, poly in enumerate(_QUARTIC) if i)
-
-
-def _mul(u, v, order):
-    """Product of two series truncated to ``order`` terms (any ring)."""
-    out = [0] * order
-    for i, ui in enumerate(u[:order]):
-        if ui:
-            for j, vj in enumerate(v[: order - i], i):
-                out[j] += ui * vj
-    return out
-
-
-def _inverse(u: list[int], order: int) -> list[int]:
-    """Series inverse of u to ``order`` terms.  Over Z it exists only when
-    u[0] is 1 or -1; anything else means a bug upstream."""
-    if not u or u[0] not in (1, -1):
-        raise AssertionError(f"constant term {u[:1]} has no inverse in Z")
-    inv = [u[0]]
-    prec = 1
-    while prec < order:
-        prec = min(2 * prec, order)
-        t = [-x for x in _mul(u[:prec], inv, prec)]
-        t[0] += 2
-        inv = _mul(inv, t, prec)
-    return inv
-
-
-def _eval_poly_series(coeffs, series, order):
-    """Evaluate sum coeffs[i](x) * series(x)**i, truncated (Horner)."""
-    out = [0] * order
-    for poly in reversed(coeffs):
-        out = _mul(out, series, order)
-        for i, q in enumerate(poly[:order]):
-            out[i] += q
-    return out
 
 
 def closed_form_coeffs(kmax: int) -> list[int]:
-    """Coefficients of the power-series root of the quartic, by Newton
-    iteration on formal power series over the integers.  F'(C) has constant
-    term -1 at C = 1, x = 0, so its inverse is integral and every step stays
-    in Z[[x]].  The coefficients must equal the recursion's c-sequence."""
-    order = kmax + 1
-    cur = [1]
-    prec = 1
-    while prec < order:
-        prec = min(2 * prec, order)
-        cur += [0] * (prec - len(cur))
-        f = _eval_poly_series(_QUARTIC, cur, prec)
-        fp = _eval_poly_series(_QUARTIC_DERIV, cur, prec)
-        step = _mul(f, _inverse(fp, prec), prec)
-        cur = [c - s for c, s in zip(cur, step)]
-    return cur[:order]
+    """Coefficients of the power-series root of the quartic, by undetermined
+    coefficients.  At x = 0 the quartic reads 1 - C, so its x^k coefficient
+    is -c[k] plus terms in c[0..k-1] alone: each c[k] is that sum, and the
+    powers C^2, C^3, C^4 grow by one coefficient per step.  The coefficients
+    must equal the recursion's c-sequence."""
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    assert [q[0] for q in _QUARTIC] == [1, -1, 0, 0, 0], "the quartic must read 1 - C at x = 0"
+    c = [1]
+    powers = [c, [1], [1], [1]]  # C, C^2, C^3, C^4
+    for k in range(1, kmax + 1):
+        c.append(sum(q[m] * p[k - m] for q, p in zip(_QUARTIC[1:], powers)
+                     for m in range(1, min(len(q), k + 1))))
+        for lower, p in zip(powers, powers[1:]):
+            p.append(sum(map(mul, c, reversed(lower))))
+    return c
 
 
 # ---------------------------------------------------------------------------

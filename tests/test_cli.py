@@ -374,6 +374,29 @@ def test_count_config_caps_of_other_kinds_are_accepted(tmp_path, capsys):
     assert code == 0 and json.loads(out)["total"] == "21"
 
 
+@pytest.mark.parametrize("cap", ["-1", "-40"])
+def test_count_negative_cap_is_refused_before_enumeration(tmp_path, capsys, monkeypatch, cap):
+    import ncmatch.cli as cli
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    pts = tmp_path / "pts.json"
+    run(capsys, "gen", "--family", "chain", "--n", "3", "--out", str(pts))
+    monkeypatch.setattr(cli.oracle, "census", no_census)
+    code, out, err = run(capsys, "count", "--input", str(pts), "--cap", cap)
+    assert (code, out) == (2, "")
+    assert err == f"ncmatch: --cap must be a nonnegative integer, not {cap}\n"
+
+
+def test_count_zero_cap_reaches_the_enumeration(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    run(capsys, "gen", "--family", "chain", "--n", "3", "--out", str(pts))
+    code, out, err = run(capsys, "count", "--input", str(pts), "--cap", "0")
+    assert code == 2 and out == ""
+    assert "exceeds the down-free enumeration cap 0" in err
+
+
 def test_count_config_caps_apply(tmp_path, capsys):
     pts, cfg = tmp_path / "pts.json", tmp_path / "cfg.json"
     run(capsys, "gen", "--family", "chain", "--n", "12", "--out", str(pts))
@@ -391,9 +414,10 @@ def test_count_config_caps_apply(tmp_path, capsys):
         {"points": [[0, 1, 0, 1], [True, 1, 2, 1]]},
         {"points": [[0, 1, 0, 1], [1, 1, 2]]},
         {"points": [[0, 1, 0, 1], [1, 1, 2, 1, 5]]},
+        {"label": ["x"], "points": [[0, 1, 0, 1], [1, 1, 2, 1]]},
     ],
     ids=["missing-points", "zero-denominator", "float-entry", "bool-entry", "three-entries",
-         "five-entries"],
+         "five-entries", "list-label"],
 )
 def test_count_malformed_point_json_is_usage_error(tmp_path, capsys, data):
     path = tmp_path / "bad.json"

@@ -204,6 +204,22 @@ class TestDoubles:
         d2 = make_double(lambda m: make_zigzag(m, Parity.EVEN), 14)
         assert same_order_type(d1.points, d2.points)
 
+    @pytest.mark.parametrize("n", range(2, 15, 2))
+    def test_halves_are_the_placed_copies(self, n):
+        # so the halves are high above each other by place_high_above's own check
+        builds = [
+            (double_chain, lambda m: make_chain(m, Direction.DOWNWARD)),
+            (double_zigzag, lambda m: make_zigzag(m, Parity.EVEN, Direction.DOWNWARD)),
+            (lambda size: double_zigzag(size, Parity.ODD),
+             lambda m: make_zigzag(m, Parity.ODD, Direction.DOWNWARD)),
+        ]
+        for double, half_of in builds:
+            half = half_of(n // 2)
+            lower = half.reflected_vertically().translated(F(1, 3), F(0))
+            d = double(n)
+            assert d.upper_set().points == place_high_above(half, lower).points
+            assert d.lower_set().points == lower.points
+
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
             double_chain(7)
@@ -221,6 +237,11 @@ class TestJson:
         back = from_json_dict(json.loads(blob))
         assert back.points == ps.points
         assert back.label == ps.label
+
+    @pytest.mark.parametrize("label", [["x"], 7, None, {"name": "x"}])
+    def test_label_must_be_a_string(self, label):
+        with pytest.raises(ValueError, match="label .* is not a string"):
+            from_json_dict({"label": label, "points": [[0, 1, 0, 1]]})
 
     def test_loader_validates(self):
         bad = {"label": "x", "points": [[0, 1, 0, 1], [1, 1, 0, 1], [2, 1, 0, 1]]}

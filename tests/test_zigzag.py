@@ -58,9 +58,14 @@ def test_series_is_the_two_chain_corner_recursion():
 
 
 def quartic_residual(series: list, order: int) -> list:
-    """Plug a series (ints or Fractions) into the defining quartic; the zero
-    series certifies it."""
-    return zigzag._eval_poly_series(zigzag._QUARTIC, series, order)
+    """Plug a series (ints or Fractions) into the defining quartic by Horner;
+    the zero series certifies it."""
+    out = [0] * order
+    for poly in reversed(zigzag._QUARTIC):
+        out = _conv(out, series, order)
+        for i, q in enumerate(poly[:order]):
+            out[i] += q
+    return out
 
 
 class TestClosedForm:
@@ -83,11 +88,18 @@ class TestClosedForm:
     def test_integer_series_satisfies_quartic(self):
         assert quartic_residual(closed_form_coeffs(50), 51) == [0] * 51
 
-    def test_inverse_needs_a_unit_constant_term(self):
-        inv = zigzag._inverse([-1, 3, 5], 6)
-        assert _conv([-1, 3, 5], inv, 6) == [1, 0, 0, 0, 0, 0]
+    def test_negative_kmax_rejected(self):
+        with pytest.raises(ValueError, match="kmax must be nonnegative"):
+            closed_form_coeffs(-1)
+
+    @pytest.mark.parametrize("row, head", [(0, 2), (1, -2), (2, 1)])
+    def test_quartic_must_read_one_minus_c_at_zero(self, monkeypatch, row, head):
+        # c[k] is read off the x^k coefficient only when F(0, C) = 1 - C
+        quartic = [list(q) for q in zigzag._QUARTIC]
+        quartic[row][0] = head
+        monkeypatch.setattr(zigzag, "_QUARTIC", tuple(quartic))
         with pytest.raises(AssertionError):
-            zigzag._inverse([2, 1], 3)
+            closed_form_coeffs(3)
 
 
 def _conv(u, v, order):
