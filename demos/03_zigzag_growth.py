@@ -1,13 +1,13 @@
 """The zigzag-chain counting recursion and its growth constant.
 
 Three sequences count down-free matchings of zigzag chains by size parity
-and kind; an algebraic generating function pins the growth rate to
-(9 + sqrt(93))/2 per two points, about 3.0532 per point.  The same recursion
-with one extra term counts all matchings instead and tops out near 3.1022.
+and kind, read off the 2-chain with corners; an algebraic generating
+function pins the growth rate to (9 + sqrt(93))/2 per two points, about
+3.0532 per point.  The same recursion with Motzkin arc tails counts all
+matchings instead and tops out near 3.1022.
 """
 
 from ncmatch import (
-    all_matchings_growth_constant,
     closed_form_coeffs,
     growth_constant,
     zigzag_series,
@@ -31,5 +31,5 @@ zz_long = zigzag_series(200)
 ratio = zz_long.c[200] / zz_long.c[199]
 print(f"consecutive ratio at k=200: {ratio:.4f} (limit {exact.to_float():.4f})")
 
-exact_all, per_point_all = all_matchings_growth_constant()
+exact_all, per_point_all = growth_constant("all")
 print(f"\nall matchings instead of down-free: per point {per_point_all:.6f}")

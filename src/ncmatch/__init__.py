@@ -49,7 +49,6 @@ from .oracle import (
 from .quadfield import QuadNumber
 from .zigzag import (
     ZigzagSeries,
-    all_matchings_growth_constant,
     closed_form_coeffs,
     growth_constant,
     zigzag_series,

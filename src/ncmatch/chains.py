@@ -114,6 +114,10 @@ class BandMatrix:
     r: int
     stabilized: bool = False
 
+    def __post_init__(self) -> None:
+        if self.r < 1:
+            raise ValueError("r must be positive")
+
     def _window_sum(self, lo: int, hi: int) -> int:
         row = _arc_counts_cached(self.r)
         return sum(row[b] for b in range(lo, min(hi, self.r) + 1, 2))
@@ -152,8 +156,6 @@ class BandMatrix:
 
 
 def transfer_matrix(r: int) -> BandMatrix:
-    if r < 1:
-        raise ValueError("r must be positive")
     return BandMatrix(r)
 
 
@@ -223,8 +225,9 @@ def _banded_step(vecs, bands, rows: int | None = None) -> list[list[int]]:
     ``vecs`` are the input states, all of one length n.  ``bands[x][y]``
     holds the 2r+1 stabilized coefficients of state x's response to state y
     at offsets j - i = -r..r.  Row i >= r is sum_beta band[beta] *
-    vec[i + beta], accumulated once per band offset with C-level slice maps;
-    the rows below r would read indices below 0.  Returns one list per state
+    vec[i + beta], accumulated once per band offset with C-level slice maps
+    (a unit coefficient adds the slice itself, with no multiplication); the
+    rows below r would read indices below 0.  Returns one list per state
     of rows r..size-1, where size = min(n + r, rows).
     """
     n = len(vecs[0])
@@ -238,7 +241,8 @@ def _banded_step(vecs, bands, rows: int | None = None) -> list[list[int]]:
                 start = r + beta
                 m = min(span, n - start)
                 if coef and m > 0:
-                    tail[:m] = map(add, tail, map(coef.__mul__, vec[start : start + m]))
+                    part = vec[start : start + m]
+                    tail[:m] = map(add, tail, part if coef == 1 else map(coef.__mul__, part))
         outs.append(tail)
     return outs
 

@@ -198,11 +198,7 @@ def cmd_growth(args) -> int:
         _reject_chain_flags(args)
         if args.variant == "perfect":
             raise CliError("zigzag growth has no perfect variant")
-        exact, base = (
-            zigzag.all_matchings_growth_constant()
-            if args.variant == "all"
-            else zigzag.growth_constant()
-        )
+        exact, base = zigzag.growth_constant(args.variant)
         payload = {
             "family": "zigzag",
             "variant": args.variant,

@@ -9,12 +9,12 @@ a runner on it, F-states do not:
     C[k][i] = matchings with a runner on V_k plus i further runners,
     F[k][i] = matchings with no runner on V_k and i runners,
 
-with C[0] = F[0] = [1] and the chain's down-free count equal to F[k][0].
+with C[0] = F[0] = [1] and the chain's count equal to F[k][0].
 
 One step attaches a fresh arc.  Four coefficient families describe what the
 arc contributes, indexed by the number alpha of runners chosen among its
-r - 1 interior points: C(r-1, alpha) times down-free arc tails (``chains``)
-of the m = r - 1 - alpha runner-free interior points plus the corners in use:
+r - 1 interior points: C(r-1, alpha) times arc tails (``chains._tails``) of
+the m = r - 1 - alpha runner-free interior points plus the corners in use:
 
     no_corner[alpha]   neither corner of the arc takes part: tail(m),
     left_in[alpha]     the left corner takes part and must be matched
@@ -25,12 +25,19 @@ of the m = r - 1 - alpha runner-free interior points plus the corners in use:
     both_in[alpha]     both corners take part, the left one matched:
                        tail(m + 2) - tail(m + 1).
 
+The kind of matching counted is the kind of tail.  Down-free chains read
+central binomial tails, all matchings Motzkin tails; for r = 2 the two kinds
+are the zigzag chain's (``zigzag``), and the tests check both against the
+oracle's census of r-chains with corners.  Perfect matchings are refused:
+Catalan tails make left_in negative (at r = 5 it is (-2, 8, -6, 4, -1)).
+
 The six contribution sums below (three per state class) encode which side
 each runner group must match to; window sums over alpha carry the same
 |i-j| <= alpha <= i+j parity constraint as the corner-free recursion.
 
-The jumps and their multiplicities depend on r alone, so the recursion is
-keyed by r: families, window sums and band are built once per r and cached.
+The jumps and their multiplicities depend on r and the kind alone, so the
+recursion is keyed by (r, kind): families, window sums and band are built
+once per key and cached.
 The index bounds only bite near the start of the vectors, and there only the
 window's upper end i + j does: as in ``chains``, a cut window is the full
 window from |i - j| minus its image, the full window from i + j + 2.  From
@@ -57,15 +64,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import mul, sub
-from typing import Sequence
+from typing import Literal, Sequence, get_args
 
 from .chains import _banded_step, _parity_windows, _tails
 from .quadfield import QuadNumber
 
+Kind = Literal["down-free", "all"]
+
 
 @dataclass(frozen=True)
 class CornerCoefficients:
-    """The four per-arc coefficient families for parameter r."""
+    """The four per-arc coefficient families for parameter r and one kind."""
 
     r: int
     no_corner: tuple[int, ...]
@@ -74,11 +83,13 @@ class CornerCoefficients:
     both_in: tuple[int, ...]
 
 
-def corner_coefficients(r: int) -> CornerCoefficients:
+def corner_coefficients(r: int, kind: Kind = "down-free") -> CornerCoefficients:
     if r < 1:
         raise ValueError("r must be positive")
+    if kind not in get_args(Kind):
+        raise ValueError(f"unknown kind {kind!r}")
     picks = [comb(r - 1, a) for a in range(r)]
-    tails = _tails(r + 2, "down-free")
+    tails = _tails(r + 2, kind)
     z, w, u = (tuple(map(mul, picks, tails[r - 1 + extra :: -1])) for extra in range(3))
     return CornerCoefficients(r, z, tuple(map(sub, w, z)), w, tuple(map(sub, u, w)))
 
@@ -89,26 +100,29 @@ def coupled_step(
     r: int,
     *,
     rows: int | None = None,
+    kind: Kind = "down-free",
 ) -> tuple[list[int], list[int]]:
     """One step of the r-chain's coupled recursion, attaching an r-point arc.
 
     Rows below r come from the six contribution sums (``_exact_rows``);
     from row r on every index bound of those sums is slack, so the rest is
-    the stabilized band of ``extract_band(r)``, read once per r and applied
-    by the banded kernel of ``chains``.  With ``rows`` only the first
-    ``rows`` entries are computed.  Trailing entries that are zero in both
-    states are dropped.
+    the stabilized band of ``extract_band(r, kind=kind)``, read once per
+    (r, kind) and applied by the banded kernel of ``chains``.  With ``rows``
+    only the first ``rows`` entries are computed.  Trailing entries that are
+    zero in both states are dropped.
     """
     if r < 1:
         raise ValueError("r must be positive")
+    if rows is not None and rows < 0:
+        raise ValueError("rows must be nonnegative")
     n = max(len(c_prev), len(f_prev))
     if len(c_prev) < n:
         c_prev = list(c_prev) + [0] * (n - len(c_prev))
     if len(f_prev) < n:
         f_prev = list(f_prev) + [0] * (n - len(f_prev))
     size = n + r if rows is None else min(n + r, rows)
-    c_new, f_new = _exact_rows(c_prev, f_prev, r, min(r, size))
-    c_tail, f_tail = _banded_step((c_prev, f_prev), _stable_bands(r), size)
+    c_new, f_new = _exact_rows(c_prev, f_prev, r, min(r, size), kind)
+    c_tail, f_tail = _banded_step((c_prev, f_prev), _stable_bands(r, kind), size)
     c_new += c_tail
     f_new += f_tail
     while len(c_new) > 1 and c_new[-1] == 0 and f_new[-1] == 0:
@@ -118,23 +132,24 @@ def coupled_step(
 
 
 @lru_cache(maxsize=None)
-def _stable_bands(r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The bands of extract_band(r): one probe per r."""
-    return extract_band(r).bands
+def _stable_bands(r: int, kind: Kind) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The bands of extract_band(r, kind=kind): one probe per (r, kind)."""
+    return extract_band(r, kind=kind).bands
 
 
 @lru_cache(maxsize=None)
-def _head_tables(r: int) -> tuple[tuple, tuple]:
-    """The families (no_corner, left_in, right_in) of corner_coefficients(r)
-    and the full parity windows sum(fam[q::2]), q < r, of all four families
-    in the order (no_corner, left_in, right_in, both_in)."""
-    coeffs = corner_coefficients(r)
+def _head_tables(r: int, kind: Kind) -> tuple[tuple, tuple]:
+    """The families (no_corner, left_in, right_in) of
+    corner_coefficients(r, kind) and the full parity windows sum(fam[q::2]),
+    q < r, of all four families in the order (no_corner, left_in, right_in,
+    both_in)."""
+    coeffs = corner_coefficients(r, kind)
     families = (coeffs.no_corner, coeffs.left_in, coeffs.right_in, coeffs.both_in)
     return families[:3], tuple(map(_parity_windows, families))
 
 
 def _exact_rows(
-    c_prev: Sequence[int], f_prev: Sequence[int], r: int, stop: int
+    c_prev: Sequence[int], f_prev: Sequence[int], r: int, stop: int, kind: Kind = "down-free"
 ) -> tuple[list[int], list[int]]:
     """Rows 0..stop-1 of one step, straight from the six contribution sums.
 
@@ -144,7 +159,7 @@ def _exact_rows(
     costs O(r).  The small-index irregularities are nothing but the index
     bounds of the sums, so no separately tabulated corner cases exist.
     """
-    (Z, I, W), (wz, wi, ww, wu) = _head_tables(r)
+    (Z, I, W), (wz, wi, ww, wu) = _head_tables(r, kind)
     c_new = [0] * stop
     f_new = [0] * stop
     for j in range(min(len(c_prev), stop + r)):
@@ -246,7 +261,7 @@ class CoupledSystem:
         return all(band[r + beta] > 0 for row in self.bands for band in row for beta in (-1, 0, 1))
 
 
-def extract_band(r: int, probe: int | None = None) -> CoupledSystem:
+def extract_band(r: int, probe: int | None = None, *, kind: Kind = "down-free") -> CoupledSystem:
     """Read the stabilized band coefficients off the recursion itself.
 
     A unit state at a probe index deep in the stabilized region (default
@@ -266,7 +281,7 @@ def extract_band(r: int, probe: int | None = None) -> CoupledSystem:
     zero = [0] * (i0 + 1)
     size = i0 + 1 + r
     # responses[y][x]: the x-state rows after a unit y-state
-    responses = (_exact_rows(unit, zero, r, size), _exact_rows(zero, unit, r, size))
+    responses = (_exact_rows(unit, zero, r, size, kind), _exact_rows(zero, unit, r, size, kind))
 
     def band_of(resp: list[int]) -> tuple[int, ...]:
         if any(resp[: i0 - r]) or any(resp[i0 + r + 1 :]):

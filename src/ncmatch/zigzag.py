@@ -1,27 +1,24 @@
-"""Down-free matching counts of zigzag chains and their growth constants.
+"""Matching counts of zigzag chains and their growth constants.
 
-Three interleaved sequences drive everything (k >= 0):
+Three interleaved sequences count the zigzag chains (k >= 0):
 
 * ``a[k]`` counts the even-kind zigzag chain with 2k+1 points,
 * ``b[k]`` counts the odd-kind zigzag chain with 2k+1 points,
 * ``c[k]`` counts either kind with 2k points (they are mirror images).
 
-The recursion comes from a case split on how the leftmost point is matched;
-each case strips a prefix and leaves a smaller zigzag chain of known kind.
-In convolution form (empty sums vanish, a0 = b0 = c0 = 1):
+The even-kind zigzag chain with 2k+1 points is the 2-chain with corners of
+k arcs, so all three are read off the coupled states (C[k], F[k]) of
+``corners.coupled_step`` at r = 2:
 
-    a[k] = c[k] - c[k-1]
-           + sum b[i] c[k-1-i]  + sum c[i] a[k-1-i]
-           + 2 sum b[i] c[k-2-i] + sum c[i] a[k-2-i] + sum b[i] c[k-3-i]
-    b[k] = c[k] + sum c[i] b[k-1-i] + sum a[i] c[k-1-i] + sum c[i] b[k-2-i]
-    c[k] = a[k-1] + sum c[i] c[k-1-i] + sum a[i] a[k-2-i] + sum c[i] c[k-2-i]
+    a[k] = F[k][0],   c[k] = C[k][0],   b[k] = C[k][0] + C[k][1].
 
-Counting *all* matchings instead of down-free ones changes exactly one case:
-after the leftmost point is matched two steps ahead, the point between them
-may stay free.  That adds c[k-1] to the a-recursion and nothing else.
+The kind selects the arc tails of that recursion: central binomial tails
+count down-free matchings, Motzkin tails all matchings.  The tests compare
+both against an independent convolution recursion, a case split on how the
+leftmost point is matched, and against the oracle.
 
-The generating function C(x) of c is algebraic: it is the unique
-power-series root of the quartic
+The generating function C(x) of the down-free c is algebraic: it is the
+unique power-series root of the quartic
 
     1 - (1+3x+5x^2) C + x(5+8x+8x^2+9x^3) C^2
       - 8x^2(1+x)(1+x+x^3) C^3 + 4x^3(1+x+x^3)(1+x)^2 C^4 = 0,
@@ -30,19 +27,18 @@ whose dominant singularity sits at the small root of 1 - 9x - 3x^2.  Hence
 c[k] grows like (1/mu)^k with 1/mu = (9 + sqrt(93))/2, i.e. the number of
 down-free matchings grows per point like sqrt((9+sqrt(93))/2) ~ 3.0532.
 For all matchings the kernel becomes 1 - 9x - 6x^2 and the per-point base
-is sqrt((9+sqrt(105))/2) ~ 3.1022.
+is sqrt((9+sqrt(105))/2) ~ 3.1022.  Both constants are the dominant
+eigenvalue of the r = 2 corner recursion's condensed matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Literal, get_args
+from typing import get_args
 
-from .corners import dominant_eigenvalue, extract_band
+from .corners import Kind, coupled_step, dominant_eigenvalue, extract_band
 from .quadfield import QuadNumber
-
-Kind = Literal["down-free", "all"]
 
 
 @dataclass(frozen=True)
@@ -59,40 +55,24 @@ class ZigzagSeries:
         return len(self.c) - 1
 
 
-def _extend(a: list[int], b: list[int], c: list[int], kind: Kind) -> None:
-    k = len(c)
-    ck = a[k - 1]
-    ck += sum(c[i] * c[k - 1 - i] for i in range(k))
-    ck += sum(a[i] * a[k - 2 - i] for i in range(k - 1))
-    ck += sum(c[i] * c[k - 2 - i] for i in range(k - 1))
-    c.append(ck)
-
-    bk = c[k]
-    bk += sum(c[i] * b[k - 1 - i] for i in range(k))
-    bk += sum(a[i] * c[k - 1 - i] for i in range(k))
-    bk += sum(c[i] * b[k - 2 - i] for i in range(k - 1))
-    b.append(bk)
-
-    ak = c[k] - c[k - 1]
-    ak += sum(b[i] * c[k - 1 - i] for i in range(k))
-    ak += sum(c[i] * a[k - 1 - i] for i in range(k))
-    ak += 2 * sum(b[i] * c[k - 2 - i] for i in range(k - 1))
-    ak += sum(c[i] * a[k - 2 - i] for i in range(k - 1))
-    ak += sum(b[i] * c[k - 3 - i] for i in range(k - 2))
-    if kind == "all":
-        ak += c[k - 1]
-    a.append(ak)
-
-
 def zigzag_series(kmax: int, kind: Kind = "down-free") -> ZigzagSeries:
-    """Sequences up to index kmax (chains up to 2*kmax+1 points)."""
+    """Sequences up to index kmax (chains up to 2*kmax+1 points).
+
+    Step k of the r = 2 corner recursion is truncated to its light cone:
+    rows 0 and 1 of step kmax read no input above index 2*(kmax-k) + 1 of
+    step k.
+    """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if kind not in get_args(Kind):
         raise ValueError(f"unknown kind {kind!r}")
     a, b, c = [1], [1], [1]
-    for _ in range(kmax):
-        _extend(a, b, c, kind)
+    c_vec, f_vec = [1], [1]
+    for k in range(1, kmax + 1):
+        c_vec, f_vec = coupled_step(c_vec, f_vec, 2, rows=2 * (kmax - k) + 2, kind=kind)
+        a.append(f_vec[0])
+        b.append(sum(c_vec[:2]))
+        c.append(c_vec[0])
     return ZigzagSeries(tuple(a), tuple(b), tuple(c), kind)
 
 
@@ -134,14 +114,9 @@ def closed_form_coeffs(kmax: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def growth_constant() -> tuple[QuadNumber, float]:
+def growth_constant(kind: Kind = "down-free") -> tuple[QuadNumber, float]:
     """Exact growth rate of c (per index) and the per-point base: the 2-chain
-    with corners' dominant eigenvalue ((9 + sqrt(93))/2) and ~3.0532."""
-    rate = dominant_eigenvalue(extract_band(2).condensed)
-    return rate, rate.root_float(2)
-
-
-def all_matchings_growth_constant() -> tuple[QuadNumber, float]:
-    """Same for counting all matchings: ((9 + sqrt(105))/2, ~3.1022)."""
-    rate = QuadNumber(9, 1, 2, 105)
+    with corners' dominant eigenvalue, ((9 + sqrt(93))/2, ~3.0532) for
+    down-free matchings and ((9 + sqrt(105))/2, ~3.1022) for all."""
+    rate = dominant_eigenvalue(extract_band(2, kind=kind).condensed)
     return rate, rate.root_float(2)

@@ -181,6 +181,12 @@ class TestBandedKernel:
                 runner_series(r, k)
         with pytest.raises(ValueError, match="r must be positive"):
             runner_step([1], r)
+        # a band matrix of r < 1 would apply as an empty or identity step
+        for stabilized in (False, True):
+            with pytest.raises(ValueError, match="r must be positive"):
+                BandMatrix(r, stabilized)
+        with pytest.raises(ValueError, match="r must be positive"):
+            transfer_matrix(r)
 
 
 class TestGrowthFactors:

@@ -18,6 +18,8 @@ from ncmatch.oracle import MatchKind, census, census_corner_split
 
 from conftest import as_fraction
 
+KINDS = ("down-free", "all")
+
 CONDENSED_FIXTURES = {
     1: ((1, 1), (2, 2)),
     2: ((3, 3), (7, 6)),
@@ -180,45 +182,72 @@ class TestBandedKernel:
 
     @pytest.mark.parametrize("r", range(1, 21))
     def test_head_width_r_is_exact_on_every_row(self, r):
+        self._step_equals_exact_rows(r, "down-free")
+
+    @pytest.mark.parametrize("r", range(1, 21))
+    def test_all_kind_head_width_r_is_exact_on_every_row(self, r):
+        self._step_equals_exact_rows(r, "all")
+
+    @staticmethod
+    def _step_equals_exact_rows(r, kind):
         rng = random.Random(r)
         for n in (1, 2, r, r + 1, 2 * r + 3, 3 * r + 7):
             c_vec = [rng.randrange(0, 10**30) for _ in range(n)]
             f_vec = [rng.randrange(0, 10**30) for _ in range(n)]
             c_vec[rng.randrange(n)] = 0
-            want_c, want_f = _exact_rows(c_vec, f_vec, r, n + r)
-            assert coupled_step(c_vec, f_vec, r) == _trimmed(want_c, want_f)
+            want_c, want_f = _exact_rows(c_vec, f_vec, r, n + r, kind)
+            assert coupled_step(c_vec, f_vec, r, kind=kind) == _trimmed(want_c, want_f)
             rows = rng.randrange(1, n + r + 1)
-            assert coupled_step(c_vec, f_vec, r, rows=rows) == _trimmed(want_c[:rows], want_f[:rows])
+            got = coupled_step(c_vec, f_vec, r, rows=rows, kind=kind)
+            assert got == _trimmed(want_c[:rows], want_f[:rows])
             # unequal lengths are zero-padded
             short = f_vec[: max(1, n // 2)]
-            want_c, want_f = _exact_rows(c_vec, short + [0] * (n - len(short)), r, n + r)
-            assert coupled_step(c_vec, short, r) == _trimmed(want_c, want_f)
+            want_c, want_f = _exact_rows(c_vec, short + [0] * (n - len(short)), r, n + r, kind)
+            assert coupled_step(c_vec, short, r, kind=kind) == _trimmed(want_c, want_f)
+
+    def test_negative_row_count_rejected(self):
+        with pytest.raises(ValueError, match="rows must be nonnegative"):
+            coupled_step([1], [1], 2, rows=-3)
+        assert coupled_step([1], [1], 2, rows=0) == ([], [])
 
     def test_bands_are_probed_once_per_r(self, monkeypatch):
         from ncmatch import corners
 
         calls = []
         real = corners.extract_band
-        monkeypatch.setattr(corners, "extract_band", lambda r, probe=None: calls.append(r) or real(r, probe))
+
+        def probe_once(r, probe=None, *, kind="down-free"):
+            calls.append((r, kind))
+            return real(r, probe, kind=kind)
+
+        monkeypatch.setattr(corners, "extract_band", probe_once)
         corners._stable_bands.cache_clear()
         try:
             coupled_series(4, 10)
             chain_counts(4, 10)
+            state = ([1], [1])
+            for _ in range(10):
+                state = coupled_step(*state, 4, kind="all")
         finally:
             corners._stable_bands.cache_clear()
-        assert calls == [4]
+        assert calls == [(4, "down-free"), (4, "all")]
 
     def test_step_reads_the_system_bands_unrepacked(self, monkeypatch):
         from ncmatch import corners
 
         probed = {}
         real = corners.extract_band
-        monkeypatch.setattr(corners, "extract_band", lambda r, probe=None: probed.setdefault(r, real(r, probe)))
+
+        def probe(r, probe=None, *, kind="down-free"):
+            return probed.setdefault((r, kind), real(r, probe, kind=kind))
+
+        monkeypatch.setattr(corners, "extract_band", probe)
         corners._stable_bands.cache_clear()
         try:
-            for r in range(1, 13):
-                assert corners._stable_bands(r) is probed[r].bands
-                assert probed[r].bands == real(r).bands
+            for kind in KINDS:
+                for r in range(1, 13):
+                    assert corners._stable_bands(r, kind) is probed[r, kind].bands
+                    assert probed[r, kind].bands == real(r, kind=kind).bands
         finally:
             corners._stable_bands.cache_clear()
 
@@ -270,10 +299,18 @@ class TestExactRowsAgainstReference:
 
     @pytest.mark.parametrize("r", range(1, 13))
     def test_left_edge_is_a_reflection(self, r):
+        self._left_edge_is_a_reflection(r, "down-free")
+
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_all_kind_left_edge_is_a_reflection(self, r):
+        self._left_edge_is_a_reflection(r, "all")
+
+    @staticmethod
+    def _left_edge_is_a_reflection(r, kind):
         # row i's response to a unit at j is the stabilized band at offset
         # j - i minus the window of the coupled family from i + j + 2
-        coeffs = corner_coefficients(r)
-        bands = extract_band(r).bands
+        coeffs = corner_coefficients(r, kind)
+        bands = extract_band(r, kind=kind).bands
         families = ((coeffs.left_in, coeffs.no_corner), (coeffs.both_in, coeffs.right_in))
         n = 3 * r + 4
         zero = [0] * n
@@ -327,8 +364,8 @@ class TestBandExtraction:
         real, clean = corners._exact_rows, extract_band(r)
 
         def injected(row):
-            def rows(c_prev, f_prev, r, stop):
-                c_new, f_new = real(c_prev, f_prev, r, stop)
+            def rows(c_prev, f_prev, r, stop, kind="down-free"):
+                c_new, f_new = real(c_prev, f_prev, r, stop, kind)
                 f_new[row] += 1
                 return c_new, f_new
 
@@ -354,6 +391,47 @@ class TestBandExtraction:
             sysr = extract_band(r)
             t = sysr.condensed[0][1]
             assert sysr.jumps == ((-t, 0), (-t, t))
+
+
+class TestAllKind:
+    """Motzkin arc tails in the same recursion count all matchings."""
+
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_totals_match_oracle(self, r):
+        c_vec, f_vec = [1], [1]
+        for k in range(1, 12 // r + 1):
+            c_vec, f_vec = coupled_step(c_vec, f_vec, r, kind="all")
+            ps = make_rchain(r, k, corners=True)
+            assert f_vec[0] == census(ps, MatchKind.ALL).total
+
+    def test_zero_drift(self):
+        from ncmatch.spectral import weighted_drift
+
+        for r in range(2, 13):
+            assert weighted_drift(extract_band(r, kind="all")).sign() == 0
+
+    def test_two_chain_eigenvalue(self):
+        condensed = extract_band(2, kind="all").condensed
+        assert condensed == ((3, 3), (8, 6))
+        assert dominant_eigenvalue(condensed).as_tuple() == (9, 1, 2, 105)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_families_are_nonnegative(self, kind):
+        for r in range(1, 61):
+            cc = corner_coefficients(r, kind)
+            for family in (cc.no_corner, cc.left_in, cc.right_in, cc.both_in):
+                assert len(family) == r and min(family) >= 0
+
+    @pytest.mark.parametrize("kind", ["perfect", "bogus"])
+    def test_other_kinds_rejected(self, kind):
+        # perfect tails would make left_in negative: (-2, 8, -6, 4, -1) at r = 5
+        for r in (1, 5):
+            with pytest.raises(ValueError, match="unknown kind"):
+                corner_coefficients(r, kind)
+        with pytest.raises(ValueError, match="unknown kind"):
+            extract_band(2, kind=kind)
+        with pytest.raises(ValueError, match="unknown kind"):
+            coupled_step([1], [1], 2, kind=kind)
 
 
 class TestCondensedTable:

@@ -3,16 +3,57 @@ from fractions import Fraction
 import pytest
 
 from ncmatch import zigzag
-from ncmatch.corners import coupled_series
 from ncmatch.geometry import Parity, make_zigzag
 from ncmatch.oracle import MatchKind, census
 from ncmatch.quadfield import QuadNumber
-from ncmatch.zigzag import (
-    all_matchings_growth_constant,
-    closed_form_coeffs,
-    growth_constant,
-    zigzag_series,
-)
+from ncmatch.zigzag import closed_form_coeffs, growth_constant, zigzag_series
+
+
+def _extend(a: list, b: list, c: list, kind: str) -> None:
+    """One step of the zigzag recursion from a case split on how the
+    leftmost point is matched; each case strips a prefix and leaves a smaller
+    zigzag chain of known kind.  In convolution form (empty sums vanish,
+    a0 = b0 = c0 = 1):
+
+        a[k] = c[k] - c[k-1]
+               + sum b[i] c[k-1-i]  + sum c[i] a[k-1-i]
+               + 2 sum b[i] c[k-2-i] + sum c[i] a[k-2-i] + sum b[i] c[k-3-i]
+        b[k] = c[k] + sum c[i] b[k-1-i] + sum a[i] c[k-1-i] + sum c[i] b[k-2-i]
+        c[k] = a[k-1] + sum c[i] c[k-1-i] + sum a[i] a[k-2-i] + sum c[i] c[k-2-i]
+
+    Counting all matchings instead of down-free ones changes exactly one
+    case: after the leftmost point is matched two steps ahead, the point
+    between them may stay free, which adds c[k-1] to the a-recursion.
+    """
+    k = len(c)
+    ck = a[k - 1]
+    ck += sum(c[i] * c[k - 1 - i] for i in range(k))
+    ck += sum(a[i] * a[k - 2 - i] for i in range(k - 1))
+    ck += sum(c[i] * c[k - 2 - i] for i in range(k - 1))
+    c.append(ck)
+
+    bk = c[k]
+    bk += sum(c[i] * b[k - 1 - i] for i in range(k))
+    bk += sum(a[i] * c[k - 1 - i] for i in range(k))
+    bk += sum(c[i] * b[k - 2 - i] for i in range(k - 1))
+    b.append(bk)
+
+    ak = c[k] - c[k - 1]
+    ak += sum(b[i] * c[k - 1 - i] for i in range(k))
+    ak += sum(c[i] * a[k - 1 - i] for i in range(k))
+    ak += 2 * sum(b[i] * c[k - 2 - i] for i in range(k - 1))
+    ak += sum(c[i] * a[k - 2 - i] for i in range(k - 1))
+    ak += sum(b[i] * c[k - 3 - i] for i in range(k - 2))
+    if kind == "all":
+        ak += c[k - 1]
+    a.append(ak)
+
+
+def reference_series(kmax: int, kind: str) -> zigzag.ZigzagSeries:
+    a, b, c = [1], [1], [1]
+    for _ in range(kmax):
+        _extend(a, b, c, kind)
+    return zigzag.ZigzagSeries(tuple(a), tuple(b), tuple(c), kind)
 
 
 def test_base_values():
@@ -29,6 +70,8 @@ def test_unknown_kind_rejected(kind):
     # only down-free and all have a zigzag recursion
     with pytest.raises(ValueError, match="unknown kind"):
         zigzag_series(3, kind)
+    with pytest.raises(ValueError, match="unknown kind"):
+        growth_constant(kind)
 
 
 def test_positive_and_dominated():
@@ -47,14 +90,12 @@ def test_counts_match_oracle_all_four_kinds(k):
 
 
 def test_series_is_the_two_chain_corner_recursion():
-    """The down-free zigzag is the 2-chain with corners: a, b and c are read
-    off the coupled states (C[k], F[k]), a missing entry counting as 0."""
-    kmax = 300
-    zz = zigzag_series(kmax)
-    for k, (c_vec, f_vec) in enumerate(coupled_series(2, kmax)):
-        assert zz.a[k] == f_vec[0]
-        assert zz.c[k] == c_vec[0]
-        assert zz.b[k] == c_vec[0] + (c_vec[1] if len(c_vec) > 1 else 0)
+    """The zigzag is the 2-chain with corners: a, b and c read off the
+    coupled states equal the leftmost-point case split, for both kinds."""
+    for kind in ("down-free", "all"):
+        got = zigzag_series(300, kind)
+        assert got == reference_series(300, kind)
+        assert all(type(x) is int for x in got.a + got.b + got.c)
 
 
 def quartic_residual(series: list, order: int) -> list:
@@ -152,7 +193,7 @@ class TestGrowth:
         assert abs(ratio - target) / target < 0.01
 
     def test_all_matchings_exact_value(self):
-        exact, base = all_matchings_growth_constant()
+        exact, base = growth_constant("all")
         assert exact == QuadNumber(9, 1, 2, 105)
         assert abs(base - 3.1022) < 5e-5
         # the reciprocal singular point solves its kernel polynomial
@@ -175,5 +216,5 @@ class TestAllMatchingsVariant:
     def test_ratio_converges(self):
         za = zigzag_series(201, "all")
         ratio = za.c[201] / za.c[200]
-        target = all_matchings_growth_constant()[0].to_float()
+        target = growth_constant("all")[0].to_float()
         assert abs(ratio - target) / target < 0.01
