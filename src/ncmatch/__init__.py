@@ -58,7 +58,6 @@ from .chains import (
     arc_count,
     best_arc_size,
     excursion_growth,
-    excursions,
     growth_factor,
     runner_counts,
     runner_series,

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 from operator import add, mul
 from typing import Iterable, Literal, Sequence
@@ -219,43 +220,50 @@ def _parity_windows(row: Sequence[int]) -> list[int]:
     return out[: len(row)]
 
 
+# Lazy map terms summed between two materializations of the running sum.  A
+# nest of some 100,000 maps overflows the C stack when it is finally read.
+_CHAIN_DEPTH = 64
+
+
 def _banded_step(vecs, bands, rows: int | None = None) -> list[list[int]]:
     """Rows r and up of one exact step of a multi-state banded recursion.
 
     ``vecs`` are the input states, all of one length n.  ``bands[x][y]``
     holds the 2r+1 stabilized coefficients of state x's response to state y
     at offsets j - i = -r..r.  Row i >= r is sum_beta band[beta] *
-    vec[i + beta], accumulated once per band offset with C-level slice maps
-    (a unit coefficient adds the slice itself, with no multiplication); the
-    rows below r would read indices below 0.  Returns one list per state
-    of rows r..size-1, where size = min(n + r, rows).
+    vec[i + beta]; the rows below r would read indices below 0.  Returns one
+    list per state of rows r..size-1, where size = min(n + r, rows).
+
+    In the first ``full`` rows every offset is in range, so each output
+    state is one lazy chain of C-level slice maps over all states and
+    offsets, ``map(add, acc, map(mul, slice, repeat(coef)))``, where a unit
+    coefficient adds its slice unmultiplied; the chain is materialized every
+    ``_CHAIN_DEPTH`` terms.  The at most 2r trailing rows, where the upper
+    offsets run off the end, are added offset by offset with short slices.
     """
     n = len(vecs[0])
     r = len(bands[0][0]) // 2
     span = n if rows is None else min(n, rows - r)
+    full = max(0, min(span, n - 2 * r))
     outs = []
     for row in bands:
-        tail = [0] * span
+        acc = [0] * full
+        rest = [0] * (span - full)
+        depth = 0
         for vec, band in zip(vecs, row):
-            for beta, coef in enumerate(band, -r):
-                start = r + beta
-                m = min(span, n - start)
-                if coef and m > 0:
-                    part = vec[start : start + m]
-                    tail[:m] = map(add, tail, part if coef == 1 else map(coef.__mul__, part))
-        outs.append(tail)
+            for start, coef in enumerate(band):
+                if not coef:
+                    continue
+                part = vec[start : start + full]
+                acc = map(add, acc, part if coef == 1 else map(mul, part, repeat(coef)))
+                depth += 1
+                if depth == _CHAIN_DEPTH:
+                    acc, depth = list(acc), 0
+                part = vec[start + full : start + span]
+                if part:
+                    rest[: len(part)] = map(add, rest, part if coef == 1 else map(mul, part, repeat(coef)))
+        outs.append([*acc, *rest])
     return outs
-
-
-def excursions(mat: BandMatrix, k: int) -> int:
-    """Number of weight-k excursions of the walk encoded by `mat`:
-    the upper-left entry of the k-th matrix power."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    vec = [1]
-    for _ in range(k):
-        vec = mat.apply(vec)
-    return vec[0]
 
 
 # ---------------------------------------------------------------------------

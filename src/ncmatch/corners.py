@@ -40,14 +40,17 @@ recursion is keyed by (r, kind): families, window sums and band are built
 once per key and cached.
 The index bounds only bite near the start of the vectors, and there only the
 window's upper end i + j does: as in ``chains``, a cut window is the full
-window from |i - j| minus its image, the full window from i + j + 2.  From
-row r on no bound is active, so a step evaluates rows 0..r-1 from the six
-sums and every later row as a Toeplitz band convolution, with the shared
-banded kernel of ``chains``.  The band coefficients are read by
-``extract_band``, which probes the six sums themselves.  The sums
-are evaluated column by column and visit only the nonzero inputs, so a unit
-probe costs O(r); the tests check on random vectors, for r = 1..20, that the
-kernel equals the sums on every row.
+window from |i - j| minus its image, the full window from i + j + 2.  So a
+step is the Toeplitz band convolution on every row, with the inputs at
+indices below 0 taken as 0 (one call of the shared banded kernel of
+``chains`` on the states with r zeros in front), and each head row i < r - 2
+then subtracts its image windows, the sum over j < r - 2 - i of
+window[i + j + 2] * vec[j].  The band coefficients are read by
+``extract_band``, which probes the six sums themselves (``_exact_rows``),
+their only reader outside the tests: the sums are the definition, evaluated
+column by column over the nonzero inputs only, so a unit probe costs O(r),
+and the tests check on random vectors that the kernel with the image
+correction equals them on every row.
 
 For analysis the recursion is condensed: away from small indices it is a
 2x2 array over the states (C, F) of bands ``bands[x][y][beta + r]``
@@ -104,10 +107,13 @@ def coupled_step(
 ) -> tuple[list[int], list[int]]:
     """One step of the r-chain's coupled recursion, attaching an r-point arc.
 
-    Rows below r come from the six contribution sums (``_exact_rows``);
-    from row r on every index bound of those sums is slack, so the rest is
-    the stabilized band of ``extract_band(r, kind=kind)``, read once per
-    (r, kind) and applied by the banded kernel of ``chains``.  With ``rows``
+    Every row is the stabilized band of ``extract_band(r, kind=kind)``,
+    read once per (r, kind), applied by the banded kernel of ``chains`` to
+    the states with r zeros in front.  A head row i < r - 2 is that band
+    minus its image windows: the full parity windows of ``_head_tables``
+    from i + j + 2, times input j, for j < r - 2 - i, each window sliced to
+    the input length and summed as one dot product.  The result equals the
+    six contribution sums of ``_exact_rows`` on every row.  With ``rows``
     only the first ``rows`` entries are computed.  Trailing entries that are
     zero in both states are dropped.
     """
@@ -116,15 +122,14 @@ def coupled_step(
     if rows is not None and rows < 0:
         raise ValueError("rows must be nonnegative")
     n = max(len(c_prev), len(f_prev))
-    if len(c_prev) < n:
-        c_prev = list(c_prev) + [0] * (n - len(c_prev))
-    if len(f_prev) < n:
-        f_prev = list(f_prev) + [0] * (n - len(f_prev))
     size = n + r if rows is None else min(n + r, rows)
-    c_new, f_new = _exact_rows(c_prev, f_prev, r, min(r, size), kind)
-    c_tail, f_tail = _banded_step((c_prev, f_prev), _stable_bands(r, kind), size)
-    c_new += c_tail
-    f_new += f_tail
+    padded = tuple([0] * r + list(vec) + [0] * (n - len(vec)) for vec in (c_prev, f_prev))
+    c_new, f_new = _banded_step(padded, _stable_bands(r, kind), size + r)
+    _, (wz, wi, ww, wu) = _head_tables(r, kind)
+    for i in range(min(r - 2, size)):
+        window = slice(i + 2, i + 2 + n)
+        c_new[i] -= sum(map(mul, wi[window], c_prev)) + sum(map(mul, wz[window], f_prev))
+        f_new[i] -= sum(map(mul, wu[window], c_prev)) + sum(map(mul, ww[window], f_prev))
     while len(c_new) > 1 and c_new[-1] == 0 and f_new[-1] == 0:
         c_new.pop()
         f_new.pop()
@@ -152,6 +157,9 @@ def _exact_rows(
     c_prev: Sequence[int], f_prev: Sequence[int], r: int, stop: int, kind: Kind = "down-free"
 ) -> tuple[list[int], list[int]]:
     """Rows 0..stop-1 of one step, straight from the six contribution sums.
+
+    This is the definition of the step, read by ``extract_band``'s probe
+    and by the tests; ``coupled_step`` takes the banded route.
 
     Both states have one length n.  The sums are taken column by column:
     each nonzero input j adds its terms to the rows i < stop with

@@ -4,12 +4,12 @@ import pytest
 
 from ncmatch.chains import (
     BandMatrix,
+    _banded_step,
     _growth_factors,
     _parity_windows,
     arc_count,
     best_arc_size,
     excursion_growth,
-    excursions,
     growth_factor,
     runner_counts,
     runner_series,
@@ -23,6 +23,15 @@ from ncmatch.oracle import MatchKind, census, census_runners
 
 def arc_counts(r, kind="down-free"):
     return [arc_count(r, i, kind) for i in range(r + 1)]
+
+
+def excursions(mat, k):
+    """Number of weight-k excursions of the walk encoded by `mat`: the
+    upper-left entry of the k-th matrix power, by entry-by-entry steps."""
+    vec = [1]
+    for _ in range(k):
+        vec = mat.apply(vec)
+    return vec[0]
 
 
 TABLE_GROWTH = [3, 9, 28, 87, 271, 843, 2619, 8123, 25153, 77763, 240054,
@@ -135,15 +144,27 @@ class TestBandedKernel:
     """runner_step applies the stabilized band to the reflected vector; every
     row must equal the entry-by-entry definition."""
 
-    @pytest.mark.parametrize("r", range(1, 21))
+    @pytest.mark.parametrize("r", [*range(1, 21), 40, 60])
     def test_head_width_r_is_exact_on_every_row(self, r):
+        # the reflected vector has n + r entries: the kernel's fully covered
+        # rows end at n - r, its trailing rows at n + r
         rng = random.Random(r)
-        for n in (1, 2, r, r + 1, 2 * r + 3, 3 * r + 7):
+        for n in sorted({1, 2, r, r + 1, 2 * r - 1, 2 * r, 2 * r + 1, 2 * r + 3, 3 * r + 7}):
             vec = [rng.randrange(-10**30, 10**30) for _ in range(n)]
             vec[rng.randrange(n)] = 0
             want = transfer_matrix(r).apply(vec)
             assert len(want) == n + r
             assert runner_step(vec, r) == want
+
+    @pytest.mark.parametrize("states", [1, 2])
+    def test_long_band_chain_is_materialized(self, states):
+        # 2(2r + 1) = 120,002 nested lazy maps overflow the C stack; one
+        # fully covered row keeps the call cheap
+        r = 30000
+        vec = list(range(2 * r + 2))
+        band = (1,) * (2 * r + 1)
+        outs = _banded_step((vec,) * states, ((band,) * states,) * states, r + 1)
+        assert outs == [[states * sum(vec[: 2 * r + 1])]] * states
 
     @pytest.mark.parametrize("r", range(1, 21))
     def test_left_edge_is_a_reflection(self, r):

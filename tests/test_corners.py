@@ -176,30 +176,33 @@ def _trimmed(c_vec, f_vec):
 
 
 class TestBandedKernel:
-    """coupled_step evaluates rows below r from the six contribution sums and
-    the rest from the cached extract_band coefficients; every row must equal
-    the definition."""
+    """coupled_step applies the cached extract_band coefficients to every row
+    and subtracts the image windows from the rows below r - 2; every row must
+    equal the definition, the six contribution sums."""
 
-    @pytest.mark.parametrize("r", range(1, 21))
+    @pytest.mark.parametrize("r", [*range(1, 21), 40, 60])
     def test_head_width_r_is_exact_on_every_row(self, r):
         self._step_equals_exact_rows(r, "down-free")
 
-    @pytest.mark.parametrize("r", range(1, 21))
+    @pytest.mark.parametrize("r", [*range(1, 21), 40, 60])
     def test_all_kind_head_width_r_is_exact_on_every_row(self, r):
         self._step_equals_exact_rows(r, "all")
 
     @staticmethod
     def _step_equals_exact_rows(r, kind):
+        # the kernel's fully covered rows end at n - r and its trailing rows
+        # at n + r; the image correction covers the rows below r - 2
         rng = random.Random(r)
-        for n in (1, 2, r, r + 1, 2 * r + 3, 3 * r + 7):
+        for n in sorted({1, 2, r, r + 1, 2 * r - 1, 2 * r, 2 * r + 1, 2 * r + 3, 3 * r + 7}):
             c_vec = [rng.randrange(0, 10**30) for _ in range(n)]
             f_vec = [rng.randrange(0, 10**30) for _ in range(n)]
             c_vec[rng.randrange(n)] = 0
             want_c, want_f = _exact_rows(c_vec, f_vec, r, n + r, kind)
             assert coupled_step(c_vec, f_vec, r, kind=kind) == _trimmed(want_c, want_f)
-            rows = rng.randrange(1, n + r + 1)
-            got = coupled_step(c_vec, f_vec, r, rows=rows, kind=kind)
-            assert got == _trimmed(want_c[:rows], want_f[:rows])
+            for rows in sorted({rng.randrange(1, n + r + 1), r - 2, r, r + 1, n - r, n + r}):
+                if rows >= 0:
+                    got = coupled_step(c_vec, f_vec, r, rows=rows, kind=kind)
+                    assert got == _trimmed(want_c[:rows], want_f[:rows])
             # unequal lengths are zero-padded
             short = f_vec[: max(1, n // 2)]
             want_c, want_f = _exact_rows(c_vec, short + [0] * (n - len(short)), r, n + r, kind)
