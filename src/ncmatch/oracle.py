@@ -311,14 +311,21 @@ def matchings(
     tab = _tables(ps)
     n = tab.n
     low = (1 << n) - 1
-    edge_sets, runner_sets = _Decoded(tab.pairs), _Decoded(range(n))
+    # an edge mask is decoded in two halves of the edge ids: the tables of
+    # half masks stay small, where one of whole masks would miss on nearly
+    # every matching
+    half = len(tab.pairs) // 2
+    below = (1 << half) - 1
+    lower, upper = _Decoded(tab.pairs[:half]), _Decoded(tab.pairs[half:])
+    runner_sets = _Decoded(range(n))
     found: list[Matching] = []
 
     def leaf(e: int, r: int) -> None:
+        edges = lower[e & below] | upper[e >> half]
         if r <= low:  # no loose point
-            found.append(Matching(edge_sets[e], runner_sets[r]))
+            found.append(Matching(edges, runner_sets[r]))
             return
-        edges, forced, loose, sub = edge_sets[e], r & low, r >> n, 0
+        forced, loose, sub = r & low, r >> n, 0
         while True:  # every subset of the loose points, as runners
             found.append(Matching(edges, runner_sets[forced | sub]))
             if sub == loose:

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import exp, gcd, isqrt, log, prod
-from typing import Union
+from math import exp, gcd, isqrt, lcm, log, prod
+from typing import Sequence, Union
 
 _Rational = Union[int, Fraction]
 
@@ -383,3 +383,25 @@ def _common_d(x: QuadNumber, y: QuadNumber) -> tuple[int, int, int]:
         raise ValueError(f"incompatible radicands {d1} and {d2}")
     g = gcd(d1, d2)
     return x.b * isqrt(d1 // g), y.b * isqrt(d2 // g), g
+
+
+def _cleared(values: Sequence[QuadNumber]) -> tuple[int, int, list[tuple[int, int]]]:
+    """(d, den, [(a, b), ...]): each value as (a + b*sqrt(d)) / den, integer
+    numerators over one radicand d and one positive denominator den.
+
+    d is the common radicand of the irrational values (1 if there is none),
+    reached through ``_common_d`` as two operands would reach it.
+    """
+    d = 1
+    for x in values:
+        if x.b and x.d != d:
+            d = x.d if d == 1 else _common_d(x, _make(0, 1, 1, d))[2]
+    den = lcm(*(x.c for x in values))
+    unit = _make(0, 1, 1, d)
+    nums = []
+    for x in values:
+        k = den // x.c
+        b = x.b if x.d == d else _common_d(x, unit)[0]
+        nums.append((x.a * k, b * k))
+    return d, den, nums
+

@@ -39,20 +39,26 @@ Pipeline, all in one quadratic field Q(sqrt(disc)):
    and scale per band are the same in every segment, so each offset's
    moments are summed once per row and band into a suffix table, filled
    lazily from offset +r down; a segment's offset range [a, b] is then
-   table(a) - table(b + 1), and a row costs O(r) field operations.
+   table(a) - table(b + 1).  Each row is cleared into Z[sqrt(d)] once: its
+   bands, the scales pi, the shifts and the peak become integer numerators
+   (a, b) of (a + b sqrt(d)) / den over one row denominator
+   (``_cleared_rows``), so the tables, each segment's quadratic and its
+   sign tests (``quadfield._sign``) are integer arithmetic.  A row costs
+   O(r) integer operations; only a convex segment's vertex is a QuadNumber.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .corners import CoupledSystem, dominant_eigenvalue
-from .quadfield import QuadNumber
+from .quadfield import QuadNumber, _cleared, _make, _sign
 
 _Q = QuadNumber.from_rational
-_NO_MOMENTS = (_Q(0),) * 3
+_NO_MOMENTS = (0,) * 6
 
 
 @dataclass(frozen=True)
@@ -137,27 +143,48 @@ def rescale(sys: CoupledSystem) -> RescaledSystem:
     return resc
 
 
-def _add_moments(acc, band, scale, shift, betas):
+def _add_moments(acc, band, scale, shift, betas, den, d):
     """Add to acc = (s0, s1, s2) the moments (sum w, sum w c, sum w c^2) of
     w = band[beta] * scale, c = shift + beta over beta in betas: the terms
     w (p - (i + c)^2) of a row's band sum at i, which is p s0 - s0 i^2 -
     2 s1 i - s2.  The only place where a band meets a quadratic profile.
+
+    Everything is in cleared form (``_cleared_rows``): band entries, scale
+    and shift are integer pairs (a, b) for (a + b sqrt(d)) / den, and acc
+    holds the six integer numerators of s0, s1, s2 over den^2, den^3, den^4.
     """
-    s0, s1, s2 = acc
+    s0a, s0b, s1a, s1b, s2a, s2b = acc
     r = len(band) // 2
+    sa, sb = scale
+    ha, hb = shift
+    hbd = hb * d
     for beta in betas:
-        w, c = band[r + beta] * scale, shift + beta
-        wc = w * c
-        s0, s1, s2 = s0 + w, s1 + wc, s2 + wc * c
-    return s0, s1, s2
+        ba, bb = band[r + beta]
+        wa, wb = ba * sa + bb * sb * d, ba * sb + bb * sa
+        ca = ha + beta * den
+        ua, ub = wa * ca + wb * hbd, wa * hb + wb * ca  # w c
+        s0a += wa
+        s0b += wb
+        s1a += ua
+        s1b += ub
+        s2a += ua * ca + ub * hbd
+        s2b += ua * hb + ub * ca
+    return s0a, s0b, s1a, s1b, s2a, s2b
 
 
-def _row_bands(resc: RescaledSystem, epsilon: Fraction | int):
-    """Each row x of ``resc.bands``, its (X-profile band, Y-profile band),
-    with -(M - epsilon) folded into offset 0 of its own band bands[x][x]."""
+def _cleared_rows(resc: RescaledSystem, epsilon: Fraction | int, *values: QuadNumber):
+    """Each row x of ``resc.bands``, its (X-profile band, Y-profile band)
+    with -(M - epsilon) folded into offset 0 of its own band bands[x][x],
+    cleared into Z[sqrt(d)] over its own denominator: (d, den, (X band,
+    Y band), (pi_X, pi_Y, *values)), every entry an integer pair (a, b) for
+    (a + b sqrt(d)) / den (``quadfield._cleared``)."""
     r, m_eps = resc.r, resc.m - _Q(epsilon)
-    own = lambda band: band[:r] + (band[r] - m_eps,) + band[r + 1 :]
-    return [row[:x] + (own(row[x]),) + row[x + 1 :] for x, row in enumerate(resc.bands)]
+    n = 2 * r + 1
+    for x, row in enumerate(resc.bands):
+        bands = [*row]
+        bands[x] = row[x][:r] + (row[x][r] - m_eps,) + row[x][r + 1 :]
+        d, den, nums = _cleared((*bands[0], *bands[1], *resc.pi, *values))
+        yield d, den, (nums[:n], nums[n : 2 * n]), nums[2 * n :]
 
 
 def shift_constant(resc: RescaledSystem) -> QuadNumber:
@@ -171,10 +198,11 @@ def shift_constant(resc: RescaledSystem) -> QuadNumber:
     """
     betas = range(-resc.r, resc.r + 1)
     roots = []
-    for band_x, band_y in _row_bands(resc, 0):
-        mx = _add_moments(_NO_MOMENTS, band_x, resc.pi[0], 0, betas)
-        my = _add_moments(_NO_MOMENTS, band_y, resc.pi[1], 0, betas)
-        roots.append(-(mx[1] + my[1]) / my[0])
+    for d, den, (band_x, band_y), (pi_x, pi_y) in _cleared_rows(resc, 0):
+        mx = _add_moments(_NO_MOMENTS, band_x, pi_x, (0, 0), betas, den, d)
+        my = _add_moments(_NO_MOMENTS, band_y, pi_y, (0, 0), betas, den, d)
+        # -s1 / s0_Y, numerators over den^3 and den^2
+        roots.append(_make(-mx[2] - my[2], -mx[3] - my[3], den, d) / _make(my[0], my[1], 1, d))
     first, second = roots
     if first != second:
         raise ValueError("nonzero drift: the two shift-constant forms disagree")
@@ -196,12 +224,12 @@ def residual_constants(
         delta = shift_constant(resc)
     betas = range(-resc.r, resc.r + 1)
     out = []
-    for band_x, band_y in _row_bands(resc, 0):
-        acc = _add_moments(_NO_MOMENTS, band_x, resc.pi[0], 0, betas)
-        s0, s1, s2 = _add_moments(acc, band_y, resc.pi[1], delta, betas)
-        if s0 or s1:
+    for d, den, (band_x, band_y), (pi_x, pi_y, shift) in _cleared_rows(resc, 0, delta):
+        acc = _add_moments(_NO_MOMENTS, band_x, pi_x, (0, 0), betas, den, d)
+        s0a, s0b, s1a, s1b, s2a, s2b = _add_moments(acc, band_y, pi_y, shift, betas, den, d)
+        if s0a or s0b or s1a or s1b:
             raise AssertionError("profile residual is not constant in the position")
-        out.append(s2)
+        out.append(_make(s2a, s2b, den**4, d))
     return out[0], out[1]
 
 
@@ -303,15 +331,21 @@ def build_certificate(
     resc: RescaledSystem, epsilon: Fraction | int
 ) -> SubEigenCertificate:
     """Gap search, shift, and clip: the lower bound M - epsilon, 0 < epsilon < M."""
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0 or _Q(epsilon) >= resc.m:
-        raise ValueError("epsilon must lie between 0 and the eigenvalue M, exclusive")
+    epsilon = _checked_epsilon(resc, epsilon)
     delta = shift_constant(resc)  # refuses nonzero drift
     qx, qy = residual_constants(resc, delta)
     k_const = qx if qx >= qy else qy
     need = _gap_requirement(resc, epsilon, k_const)
     p, root_p, gap = gap_search(delta, need)
     return certificate_from_peak(resc, epsilon, p, root_p, delta, k_const, gap)
+
+
+def _checked_epsilon(resc: RescaledSystem, epsilon: Fraction | int) -> Fraction:
+    """epsilon as a Fraction; from epsilon = M on, M - epsilon <= 0 bounds nothing."""
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0 or _Q(epsilon) >= resc.m:
+        raise ValueError("epsilon must lie between 0 and the eigenvalue M, exclusive")
+    return epsilon
 
 
 def certificate_from_peak(
@@ -323,7 +357,9 @@ def certificate_from_peak(
     k_const: Optional[QuadNumber] = None,
     gap: Optional[QuadNumber] = None,
 ) -> SubEigenCertificate:
-    """Certificate with an explicitly chosen peak value (negative controls)."""
+    """Certificate with an explicitly chosen peak value (negative controls),
+    for the same epsilons as ``build_certificate``: 0 < epsilon < M."""
+    epsilon = _checked_epsilon(resc, epsilon)
     if delta is None:
         delta = shift_constant(resc)
     if k_const is None:
@@ -337,7 +373,7 @@ def certificate_from_peak(
     if sup_x[1] < sup_x[0] or sup_y[1] < sup_y[0]:
         raise ValueError("peak too small: a certificate needs nonzero vectors")
     return SubEigenCertificate(
-        epsilon=Fraction(epsilon),
+        epsilon=epsilon,
         p=p,
         root_p=root_p,
         s=s,
@@ -359,24 +395,22 @@ def _open_interval_ints(lo: QuadNumber, hi: QuadNumber) -> tuple[int, int]:
 def verify_certificate(resc: RescaledSystem, cert: SubEigenCertificate) -> bool:
     """Exact componentwise check of apply >= (M - eps) * profile, both rows.
 
-    With -(M - eps) folded into each row's own band (``_row_bands``), each
+    With -(M - eps) folded into each row's own band (``_cleared_rows``), each
     row checks that a banded sum of the two clipped profiles is nonnegative.
     Every integer index is covered: between clipping breakpoints that sum is
     one quadratic in the index, decided by evaluations at the stretch ends
     (concave case) or around the vertex (convex case).  Its moments come
     from one suffix table per row and band (``_suffix_moments``), so each
-    offset is summed once per row, not once per segment.  False is a
+    offset is summed once per row, not once per segment.  The row is
+    cleared to integer numerators over one denominator first, so the
+    tables and the sign tests are integer arithmetic.  False is a
     legitimate outcome, not an error.
     """
     r = resc.r
-    profiles = (
-        (cert.support_x, -cert.s, resc.pi[0]),
-        (cert.support_y, cert.delta - cert.s, resc.pi[1]),
-    )
     # i + beta enters or leaves a support at bound - beta (+ 1)
     marks = sorted({
         bound - beta + e
-        for sup, _, _ in profiles
+        for sup in (cert.support_x, cert.support_y)
         for bound in sup
         for beta in range(-r, r + 1)
         for e in (0, 1)
@@ -385,39 +419,45 @@ def verify_certificate(resc: RescaledSystem, cert: SubEigenCertificate) -> bool:
     segments += [(a, b - 1) for a, b in zip(marks, marks[1:] + [marks[-1] + 1])]
     segments.append((marks[-1] + 1, marks[-1] + 1))
     # row-major: all of row X, then row Y
-    for bands in _row_bands(resc, cert.epsilon):
-        terms = tuple(
-            (_suffix_moments(band, scale, shift), sup)
-            for band, (sup, shift, scale) in zip(bands, profiles)
+    for d, den, bands, (pi_x, pi_y, shift_x, shift_y, p) in _cleared_rows(
+        resc, cert.epsilon, -cert.s, cert.delta - cert.s, cert.p
+    ):
+        terms = (
+            (_suffix_moments(bands[0], pi_x, shift_x, den, d), cert.support_x),
+            (_suffix_moments(bands[1], pi_y, shift_y, den, d), cert.support_y),
         )
         for lo, hi in segments:
-            if not _segment_ok(r, cert.p, terms, lo, hi):
+            if not _segment_ok(r, (d, den, p), terms, lo, hi):
                 return False
     return True
 
 
-def _suffix_moments(band, scale, shift):
-    """table(a): the moments (``_add_moments``) of the offsets a..r of one
-    row's band, for -r <= a <= r + 1.  Filled on demand from offset +r
-    down, one offset per step, so a row whose check fails early sums only
-    the offsets its segments reached."""
+def _suffix_moments(band, scale, shift, den, d):
+    """table(a): the moments (``_add_moments``, cleared form) of the offsets
+    a..r of one row's band, for -r <= a <= r + 1.  Filled on demand from
+    offset +r down, one offset per step, so a row whose check fails early
+    sums only the offsets its segments reached."""
     r = len(band) // 2
     table = [_NO_MOMENTS]  # table[k]: offsets r + 1 - k .. r
 
     def moments(a: int):
         while len(table) <= r + 1 - a:
-            table.append(_add_moments(table[-1], band, scale, shift, (r + 1 - len(table),)))
+            beta = r + 1 - len(table)
+            table.append(_add_moments(table[-1], band, scale, shift, (beta,), den, d))
         return table[r + 1 - a]
 
     return moments
 
 
-def _segment_ok(r, p, terms, lo, hi) -> bool:
+def _segment_ok(r, row, terms, lo, hi) -> bool:
     """Check the row's band sum >= 0 for all integers in [lo, hi] (fixed clip pattern).
 
     Each of ``terms`` pairs a band's suffix table with its support; the
     moments of the offsets inside the support are table(a) - table(b + 1)
-    for the inside range [a, b], two reads and no per-offset work.
+    for the inside range [a, b], two reads and no per-offset work.  `row`
+    is (d, den, p) of the row's cleared form.  The band sum times den^4 is
+    a quadratic with coefficients in Z[sqrt(d)], so each sign test is one
+    ``_sign`` on integers; only a convex segment's vertex is a QuadNumber.
     """
     acc = None
     for moments, (first, last) in terms:
@@ -431,20 +471,24 @@ def _segment_ok(r, p, terms, lo, hi) -> bool:
             continue
         part = moments(inside.start)
         if inside.stop <= r:
-            part = tuple(u - v for u, v in zip(part, moments(inside.stop)))
-        acc = part if acc is None else tuple(u + v for u, v in zip(acc, part))
+            part = tuple(map(sub, part, moments(inside.stop)))
+        acc = part if acc is None else tuple(map(add, acc, part))
     if acc is None:  # no offset reaches a support: the band sum is 0
         return True
-    s0, s1, s2 = acc
-    # the band sum p s0 - s0 i^2 - 2 s1 i - s2 is q2 i^2 + q1 i + q0
-    q2, q1, q0 = -s0, -2 * s1, p * s0 - s2
+    d, den, (pa, pb) = row
+    s0a, s0b, s1a, s1b, s2a, s2b = acc
+    # den^4 (p s0 - s0 i^2 - 2 s1 i - s2) = q2 i^2 + q1 i + q0
+    q2a, q2b = -s0a * den * den, -s0b * den * den
+    q1a, q1b = -2 * s1a * den, -2 * s1b * den
+    q0a = (pa * s0a + pb * s0b * d) * den - s2a
+    q0b = (pa * s0b + pb * s0a) * den - s2b
 
-    def val(i: int) -> QuadNumber:
-        return (q2 * i + q1) * i + q0
+    def sign_at(i: int) -> int:
+        return _sign((q2a * i + q1a) * i + q0a, (q2b * i + q1b) * i + q0b, d)
 
-    if q2.sign() <= 0:
-        return val(lo).sign() >= 0 and val(hi).sign() >= 0
-    vertex = -q1 / (2 * q2)
-    lo_v = max(lo, min(hi, vertex.floor()))
-    hi_v = max(lo, min(hi, vertex.floor() + 1))
-    return val(lo_v).sign() >= 0 and val(hi_v).sign() >= 0
+    if _sign(q2a, q2b, d) <= 0:
+        return sign_at(lo) >= 0 and sign_at(hi) >= 0
+    # the vertex -q1 / (2 q2), times the conjugate of q2 over its norm
+    norm = q2a * q2a - q2b * q2b * d
+    vertex = _make(q1b * q2b * d - q1a * q2a, q1a * q2b - q1b * q2a, 2 * norm, d).floor()
+    return sign_at(max(lo, min(hi, vertex))) >= 0 and sign_at(max(lo, min(hi, vertex + 1))) >= 0

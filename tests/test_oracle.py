@@ -245,6 +245,41 @@ class TestPredicates:
         edge_sets = [frozenset(p for k, p in enumerate(tab.pairs) if edges >> k & 1) for edges, _ in leaves]
         assert list(matchings(ps, kind)) == [Matching(e) for e in edge_sets]
 
+    @pytest.mark.parametrize(
+        "ps",
+        [
+            make_chain(8),
+            make_chain(8, Direction.UPWARD),
+            make_zigzag(9, Parity.EVEN),
+            make_zigzag(8, Parity.ODD),
+            make_rchain(3, 2, corners=True),
+            make_rchain(2, 4, corners=False),
+            double_chain(8).points,
+            double_zigzag(8).points,
+        ],
+        ids=lambda ps: ps.label,
+    )
+    @pytest.mark.parametrize("kind", list(MatchKind))
+    def test_listing_equals_whole_mask_decoding(self, ps, kind):
+        # each leaf's edge mask decoded bit by bit, and its loose points
+        # expanded subset by subset in the lister's order
+        tab = _tables(ps)
+        n = tab.n
+        want = []
+
+        def leaf(edges, runners):
+            edge_set = frozenset(p for k, p in enumerate(tab.pairs) if edges >> k & 1)
+            forced, loose, sub = runners & ((1 << n) - 1), runners >> n, 0
+            while True:
+                chosen = forced | sub
+                want.append(Matching(edge_set, frozenset(i for i in range(n) if chosen >> i & 1)))
+                if sub == loose:
+                    return
+                sub = (sub - loose) & loose
+
+        _walk(tab, kind, leaf)
+        assert list(matchings(ps, kind)) == want
+
     def test_lister_agrees_with_census(self):
         ps = make_zigzag(7, Parity.EVEN)
         listed = list(matchings(ps, MatchKind.DOWN_FREE))

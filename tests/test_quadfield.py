@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ncmatch.quadfield import QuadNumber
+from ncmatch.quadfield import QuadNumber, _cleared
 
 from conftest import as_fraction
 
@@ -157,6 +157,19 @@ def test_mixed_arithmetic_beyond_split_limit():
     assert (narrow * narrow * BIG_P * BIG_P - wide * wide + 2 * wide) == 1
     # both radicands keep a shared square factor: the gcd keeps it
     assert QuadNumber.sqrt_of(BIG_P**2 * 3) * QuadNumber.sqrt_of(BIG_P**4 * 3) == 3 * BIG_P**3
+
+
+def test_cleared_numerators_share_one_radicand_and_denominator():
+    narrow = QuadNumber(1, 2, 3, 3)
+    wide = QuadNumber(5 * BIG_P, 7, 11 * BIG_P, BIG_P * BIG_P * 3)  # (5 + 7 sqrt 3) / 11
+    half = QuadNumber(1, 0, 2)
+    assert wide.d != narrow.d
+    for values in ([narrow, wide, half], [wide, half, narrow], [half, half]):
+        d, den, nums = _cleared(values)
+        assert d == (3 if len(values) == 3 else 1) and den > 0
+        assert [QuadNumber(a, b, den, d) for a, b in nums] == values
+    with pytest.raises(ValueError, match="incompatible radicands"):
+        _cleared([wide, QuadNumber.sqrt_of(2)])
 
 
 def test_different_fields_still_rejected_beyond_split_limit():

@@ -2,11 +2,12 @@ import dataclasses
 import functools
 import random
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
 import pytest
 
-from ncmatch import spectral
+from ncmatch import quadfield, spectral
 from ncmatch.corners import CoupledSystem, extract_band
 from ncmatch.quadfield import QuadNumber
 from ncmatch.spectral import (
@@ -36,6 +37,9 @@ def toy_system(bands, r=1):
 
 
 SYMMETRIC_TOY = toy_system(((1, 1, 1),) * 4)
+# drift-free but not palindromic: cross jumps +2 and -2 cancel, delta = -1/3
+SKEWED_TOY = toy_system(((1, 1, 1), (1, 2, 3), (3, 2, 1), (1, 1, 1)))
+DRIFTING_TOY = toy_system(((0, 1, 2), (1, 1, 1), (1, 1, 1), (1, 1, 1)))
 
 
 class TestEigenData:
@@ -213,6 +217,15 @@ class TestCertificates:
         for r, eps in ((1, 3), (8, 10**9)):
             with pytest.raises(ValueError, match="between 0 and the eigenvalue"):
                 build_certificate(rescale(extract_band(r)), Fraction(eps))
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_peak_certificate_refuses_epsilon_outside_zero_and_m(self, r):
+        # M - epsilon <= 0 bounds nothing, yet at r = 3 an epsilon of 10**6
+        # once gave a certificate that verified; M = 3 exactly at r = 1
+        resc = _rescaled(r)
+        for eps in (resc.m.ceil(), 10**6, 0, -1):
+            with pytest.raises(ValueError, match="between 0 and the eigenvalue"):
+                certificate_from_peak(resc, Fraction(eps), Q(4), Q(2))
 
     @pytest.mark.parametrize("r", [2, 8])
     def test_undersized_peak_fails(self, r):
@@ -549,6 +562,43 @@ class TestVerifyAgainstReference:
                     verdicts.append(verdict)
         assert True in verdicts and False in verdicts
 
+    @pytest.mark.parametrize("r", [2, 5])
+    def test_radicand_split_to_another_value(self, r):
+        # equal values over d * 20011**2: the square factor is above the
+        # small-prime limit, so the radicand stays unsplit
+        resc = _rescaled(r)
+        cert = build_certificate(resc, Fraction(1, 10))
+
+        def resplit(x):
+            y = QuadNumber(20011 * x.a, x.b, 20011 * x.c, x.d * 20011**2)
+            assert y == x and y.d == x.d * 20011**2
+            return y
+
+        bands = [list(row) for row in resc.bands]
+        band = bands[0][1]
+        bands[0][1] = band[:r + 1] + (resplit(band[r + 1]),) + band[r + 2 :]
+        mutated = dataclasses.replace(resc, bands=tuple(map(tuple, bands)))
+        assert shift_constant(mutated) == cert.delta
+        assert residual_constants(mutated) == residual_constants(resc)
+        moved = dataclasses.replace(cert, p=resplit(cert.p))
+        cases = [moved, dataclasses.replace(moved, p=moved.p * Fraction(9, 10))]
+        verdicts = [verify_certificate(mutated, c) for c in cases]
+        assert verdicts == [_reference_verify(mutated, c) for c in cases] == [True, False]
+
+    @pytest.mark.parametrize("toy", [SYMMETRIC_TOY, SKEWED_TOY], ids=["symmetric", "skewed"])
+    def test_rational_system(self, toy):
+        resc = rescale(toy)
+        values = [resc.m, *resc.pi, *(v for row in resc.bands for band in row for v in band)]
+        assert all(v.is_rational for v in values)
+        verdicts = []
+        for eps in (Fraction(1, 10), Fraction(1, 2)):
+            for k in (3, 5, 8, 21, 40):
+                cert = certificate_from_peak(resc, eps, Q(k * k), Q(k))
+                verdict = verify_certificate(resc, cert)
+                assert verdict == _reference_verify(resc, cert), (eps, k)
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
     @pytest.mark.parametrize("r", [12, 20])
     def test_larger_r(self, r):
         resc = _rescaled(r)
@@ -574,18 +624,41 @@ class TestVerifyWork:
         added = []
         add_moments = spectral._add_moments
 
-        def counting(acc, band, scale, shift, betas):
+        def counting(acc, band, scale, shift, betas, den, d):
             betas = tuple(betas)
             added.append(len(betas))
-            return add_moments(acc, band, scale, shift, betas)
+            return add_moments(acc, band, scale, shift, betas, den, d)
 
         monkeypatch.setattr(spectral, "_add_moments", counting)
         assert verify_certificate(resc, cert)
         # one offset per band (2), row (2) and offset -r..r
-        assert sum(added) <= 4 * (2 * r + 1)
+        assert 0 < sum(added) <= 4 * (2 * r + 1)
         added.clear()
         assert not verify_certificate(resc, small)
-        assert sum(added) <= 2 * (r + 2)
+        assert 0 < sum(added) <= 2 * (r + 2)
+
+    @pytest.mark.parametrize("r", [2, 8, 20, 60])
+    def test_field_operations_are_linear_in_r(self, r, monkeypatch):
+        # Field results (``_make``) built in one check: 8 for folding
+        # -(M - eps) into the own bands and clearing the two rows, and one
+        # for each convex segment's vertex.  These certificates have 2r
+        # convex segments per row, 8 + 4r in all; the bound leaves 8.  A
+        # concave segment evaluated in the field instead costs at least 8
+        # more (four operations at each end), and every row has more than
+        # 2r + 6 of them.
+        resc = _rescaled(r)
+        cert = build_certificate(resc, Fraction(1, 10))
+        made = count()
+        make = quadfield._make
+
+        def counting(*args):
+            next(made)
+            return make(*args)
+
+        monkeypatch.setattr(quadfield, "_make", counting)
+        monkeypatch.setattr(spectral, "_make", counting)
+        assert verify_certificate(resc, cert)
+        assert next(made) <= 4 * (r + 4)
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +741,6 @@ def _reference_residual_constants(
         elif acc_x != qx or acc_y != qy:
             raise AssertionError("profile residual is not constant across probes")
     return qx, qy
-
-
-# drift-free but not palindromic: cross jumps +2 and -2 cancel, delta = -1/3
-SKEWED_TOY = toy_system(((1, 1, 1), (1, 2, 3), (3, 2, 1), (1, 1, 1)))
-DRIFTING_TOY = toy_system(((0, 1, 2), (1, 1, 1), (1, 1, 1), (1, 1, 1)))
 
 
 def _wide_probes(r):
