@@ -3,12 +3,12 @@
 The runner recursion is a banded transfer operator; its stabilized column
 sum is the exact per-arc growth factor.  The per-point rate peaks at arc
 size 11, certified by integer cross-power comparisons, and the excursion
-step polynomial recovers the same constants.
+step polynomial recovers the same constants exactly.
 """
 
 from ncmatch import (
     best_arc_size,
-    excursion_growth,
+    excursion_moments,
     growth_factor,
     runner_counts,
     transfer_matrix,
@@ -23,11 +23,11 @@ r_best, rate = best_arc_size(190)
 print(f"\ncertified best arc size up to 190: r={r_best} (rate {rate:.4f})")
 
 # the transfer matrix stabilizes into constant diagonals; its column sum is
-# exactly the growth factor, and the excursion step polynomial agrees
+# exactly the growth factor, and the palindromic step polynomial P agrees:
+# its base is P(1), and sigma^2 is the variance of the weighted steps
 mat = transfer_matrix(5)
-steps = [(q, mat.diagonal_value(q)) for q in range(-5, 6)]
-growth, tau = excursion_growth(steps)
-print(f"\nexcursion growth for r=5 steps: {growth:.1f} at tau={tau:.3f}")
+lam, var = excursion_moments(5)
+print(f"\nexcursion steps for r=5: lambda = P(1) = {lam}, sigma^2 = {var}")
 print("column sum:", mat.column_sum_stabilized())
 
 vec = runner_counts(3, 4)

@@ -57,7 +57,7 @@ from .chains import (
     BandMatrix,
     arc_count,
     best_arc_size,
-    excursion_growth,
+    excursion_moments,
     growth_factor,
     runner_counts,
     runner_series,

@@ -20,7 +20,8 @@ column sums to
 the per-arc growth rate of v_k[0].  Equivalently v_k[0] counts weight-k
 excursions of a lattice walk whose step multiplicities are the stabilized
 diagonal values, which ties the growth constant to the step polynomial
-P(u) = sum w_beta u^beta through its minimum P(tau), P'(tau) = 0.
+P(u) = sum w_beta u^beta through its minimum P(tau), P'(tau) = 0: the band
+is palindromic, so tau = 1 and the base is P(1) (``excursion_moments``).
 
 Replacing the arc tail C(r-i, floor((r-i)/2)) by a Catalan or Motzkin number
 counts perfect or arbitrary matchings, with the same column sums.  ``_tails``
@@ -33,17 +34,21 @@ i + j + 2, the offset of row i from the image -j - 2 of column j.
 (``_banded_step``, shared with the coupled corner recursion) to the vector
 extended by its odd reflection, with no separate rows near the edge.
 ``BandMatrix.apply`` stays an entry-by-entry evaluation, a second route
-that the tests compare the kernel against.
+that the tests compare the kernel against.  One driver, ``_light_cone``,
+steps this recursion and the coupled one of ``corners``; the series and
+count functions of both are views of it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import comb
 from operator import add, mul
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 ArcKind = Literal["down-free", "perfect", "all"]
 
@@ -160,33 +165,36 @@ def transfer_matrix(r: int) -> BandMatrix:
     return BandMatrix(r)
 
 
+def _light_cone(step: Callable, start, r: int, kmax: int, heads: int | None = None) -> Iterator:
+    """Yield ``start`` and the kmax states ``step(state, rows)`` makes from it,
+    one r-point arc per step.  Row i of a step reads no input above i + r, so
+    the first ``heads`` rows of the last state need only the first
+    r*(kmax-k) + heads rows of state k, its light cone; step k computes just
+    those, or every row when ``heads`` is None."""
+    if r < 1:
+        raise ValueError("r must be positive")
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    state = start
+    yield state
+    for k in range(1, kmax + 1):
+        state = step(state, None if heads is None else r * (kmax - k) + heads)
+        yield state
+
+
 def runner_counts(r: int, k: int) -> list[int]:
     """v_k: exact counts of down-free rho-matchings of k arcs by runner count.
 
     Starts from v_0 = [1]; entry 0 of v_k is the plain down-free count.
     Support is exactly r*k + 1 wide, which makes the nominally infinite
-    recursion finite and exact.
+    recursion finite and exact.  Only the last vector is kept.
     """
-    if r < 1:
-        raise ValueError("r must be positive")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    vec = [1]
-    for _ in range(k):
-        vec = runner_step(vec, r)
-    return vec
+    return deque(_light_cone(lambda vec, rows: runner_step(vec, r), [1], r, k), maxlen=1).pop()
 
 
 def runner_series(r: int, kmax: int) -> list[list[int]]:
     """[v_0, ..., v_kmax] of runner_counts, in one pass of the recursion."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    series = [[1]]
-    for _ in range(kmax):
-        series.append(runner_step(series[-1], r))
-    return series
+    return list(_light_cone(lambda vec, rows: runner_step(vec, r), [1], r, kmax))
 
 
 def runner_step(vec: Sequence[int], r: int) -> list[int]:
@@ -271,41 +279,20 @@ def _banded_step(vecs, bands, rows: int | None = None) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-_BISECTION_TOL = 1e-12
+def excursion_moments(r: int) -> tuple[int, Fraction]:
+    """(lambda, sigma^2) of the step polynomial P(u) = sum w_beta u^beta of
+    the stabilized band, exactly.
 
-
-def excursion_growth(steps: Iterable[tuple[int, float]]) -> tuple[float, float]:
-    """Growth base of excursion counts for weighted steps [(jump, weight)].
-
-    For P(u) = sum w_j u^{b_j} the base is C = P(tau) at the unique positive
-    stationary point P'(tau) = 0, found by bisection; returns (C, tau).
-    Symmetric step sets give tau = 1 and C = sum of the weights.  Step sets
-    with jumps on one side only have no interior minimum and are rejected.
-    Float-only diagnostics; exact growth factors come from the column sums.
+    The band is palindromic, so P'(1) = 0: the base lambda = P(1) is the
+    growth factor and sigma^2 = sum beta^2 w_beta / lambda is the variance
+    of the weighted steps.
     """
-    steps = [(int(b), float(w)) for b, w in steps]
-    if not steps or any(w <= 0 for _, w in steps):
-        raise ValueError("weights must be positive")
-    if not any(b < 0 for b, _ in steps) or not any(b > 0 for b, _ in steps):
-        raise ValueError("need jumps on both sides for an interior minimum")
-
-    def dP(u: float) -> float:
-        return sum(w * b * u ** (b - 1) for b, w in steps)
-
-    lo, hi = 1.0, 1.0
-    while dP(lo) > 0:
-        lo /= 2.0
-    while dP(hi) < 0:
-        hi *= 2.0
-    while hi - lo > _BISECTION_TOL:
-        mid = (lo + hi) / 2.0
-        if dP(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    tau = (lo + hi) / 2.0
-    growth = sum(w * tau**b for b, w in steps)
-    return growth, tau
+    if r < 1:
+        raise ValueError("r must be positive")
+    band = _runner_band(r)
+    assert band == band[::-1], "the stabilized band must be palindromic"
+    lam = sum(band)
+    return lam, Fraction(sum(beta * beta * w for beta, w in enumerate(band, -r)), lam)
 
 
 # ---------------------------------------------------------------------------

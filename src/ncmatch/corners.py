@@ -10,6 +10,8 @@ a runner on it, F-states do not:
     F[k][i] = matchings with no runner on V_k and i runners,
 
 with C[0] = F[0] = [1] and the chain's count equal to F[k][0].
+``coupled_series``, ``chain_counts`` and ``zigzag.zigzag_series`` are views
+of these states as the light-cone driver of ``chains`` steps them.
 
 One step attaches a fresh arc.  Four coefficient families describe what the
 arc contributes, indexed by the number alpha of runners chosen among its
@@ -69,7 +71,7 @@ from math import comb
 from operator import mul, sub
 from typing import Literal, Sequence, get_args
 
-from .chains import _banded_step, _parity_windows, _tails
+from .chains import _banded_step, _light_cone, _parity_windows, _tails
 from .quadfield import QuadNumber
 
 Kind = Literal["down-free", "all"]
@@ -206,33 +208,23 @@ def _exact_rows(
 
 def coupled_series(r: int, kmax: int) -> list[tuple[list[int], list[int]]]:
     """States (C[k], F[k]) for k = 0..kmax, from C[0] = F[0] = [1]."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    states = [([1], [1])]
-    for _ in range(kmax):
-        states.append(coupled_step(*states[-1], r))
-    return states
+    return list(_coupled_cone(r, kmax))
 
 
 def chain_counts(r: int, kmax: int) -> list[int]:
-    """Down-free matching counts F[k][0] of the k-arc chain, k = 0..kmax.
+    """Down-free matching counts F[k][0] of the k-arc chain, k = 0..kmax,
+    with every step cut to the light cone of the head row."""
+    return [f_vec[0] for _, f_vec in _coupled_cone(r, kmax, heads=1)]
 
-    Row i of a step reads no input index above i + r, so F[kmax][0] needs
-    only the first r*(kmax-k) + 1 entries of step k (its light cone), and
-    each step is truncated to them.
-    """
-    if r < 1:
-        raise ValueError("r must be positive")
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    c_vec, f_vec = [1], [1]
-    counts = [1]
-    for k in range(1, kmax + 1):
-        c_vec, f_vec = coupled_step(c_vec, f_vec, r, rows=r * (kmax - k) + 1)
-        counts.append(f_vec[0])
-    return counts
+
+def _coupled_cone(r: int, kmax: int, heads: int | None = None, kind: Kind = "down-free"):
+    """The states (C[k], F[k]) of ``chains._light_cone`` from C[0] = F[0] =
+    [1].  The band is read before the first state, so r < 1 and an unknown
+    kind are refused at the call, kmax = 0 included."""
+    _stable_bands(r, kind)
+    return _light_cone(
+        lambda state, rows: coupled_step(*state, r, rows=rows, kind=kind), ([1], [1]), r, kmax, heads
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ Three interleaved sequences count the zigzag chains (k >= 0):
 
 The even-kind zigzag chain with 2k+1 points is the 2-chain with corners of
 k arcs, so all three are read off the coupled states (C[k], F[k]) of
-``corners.coupled_step`` at r = 2:
+``corners.coupled_step`` at r = 2, stepped by the light-cone driver of
+``chains`` with each step cut to the rows that rows 0 and 1 of the last
+state read:
 
     a[k] = F[k][0],   c[k] = C[k][0],   b[k] = C[k][0] + C[k][1].
 
@@ -35,9 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import get_args
 
-from .corners import Kind, coupled_step, dominant_eigenvalue, extract_band
+from .corners import Kind, _coupled_cone, dominant_eigenvalue, extract_band
 from .quadfield import QuadNumber
 
 
@@ -56,24 +57,10 @@ class ZigzagSeries:
 
 
 def zigzag_series(kmax: int, kind: Kind = "down-free") -> ZigzagSeries:
-    """Sequences up to index kmax (chains up to 2*kmax+1 points).
-
-    Step k of the r = 2 corner recursion is truncated to its light cone:
-    rows 0 and 1 of step kmax read no input above index 2*(kmax-k) + 1 of
-    step k.
-    """
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    if kind not in get_args(Kind):
-        raise ValueError(f"unknown kind {kind!r}")
-    a, b, c = [1], [1], [1]
-    c_vec, f_vec = [1], [1]
-    for k in range(1, kmax + 1):
-        c_vec, f_vec = coupled_step(c_vec, f_vec, 2, rows=2 * (kmax - k) + 2, kind=kind)
-        a.append(f_vec[0])
-        b.append(sum(c_vec[:2]))
-        c.append(c_vec[0])
-    return ZigzagSeries(tuple(a), tuple(b), tuple(c), kind)
+    """Sequences up to index kmax (chains up to 2*kmax+1 points), read off
+    the r = 2 corner recursion cut to the light cone of its two head rows."""
+    a, b, c = zip(*((f[0], sum(c[:2]), c[0]) for c, f in _coupled_cone(2, kmax, 2, kind)))
+    return ZigzagSeries(a, b, c, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,7 @@ from ncmatch.chains import (
     _parity_windows,
     arc_count,
     best_arc_size,
-    excursion_growth,
+    excursion_moments,
     growth_factor,
     runner_counts,
     runner_series,
@@ -257,27 +258,16 @@ class TestExcursions:
 
 class TestExcursionGrowth:
     def test_symmetric_unit_steps(self):
-        growth, tau = excursion_growth([(-1, 1), (0, 1), (1, 1)])
-        assert growth == pytest.approx(3.0, abs=1e-9)
-        assert tau == pytest.approx(1.0, abs=1e-9)
-
-    def test_asymmetric_steps(self):
-        growth, tau = excursion_growth([(-1, 1), (1, 4)])
-        assert tau == pytest.approx(0.5, abs=1e-9)
-        assert growth == pytest.approx(4.0, abs=1e-9)
+        # r = 1 walks the steps -1, 0, 1 with weight one each
+        assert BandMatrix(1, stabilized=True).dense(3)[1] == [1, 1, 1]
+        assert excursion_moments(1) == (3, Fraction(2, 3))
 
     def test_stabilized_diagonal_recovers_growth_factor(self):
         mat = transfer_matrix(5)
         steps = [(q, mat.diagonal_value(q)) for q in range(-5, 6)]
-        growth, tau = excursion_growth(steps)
-        assert growth == pytest.approx(271.0, abs=1e-6)
-        assert tau == pytest.approx(1.0, abs=1e-9)
-
-    def test_one_sided_rejected(self):
-        with pytest.raises(ValueError):
-            excursion_growth([(1, 2), (2, 1)])
-        with pytest.raises(ValueError):
-            excursion_growth([(-1, 2), (0, 1)])
+        lam, var = excursion_moments(5)
+        assert lam == sum(w for _, w in steps) == growth_factor(5) == 271
+        assert var == Fraction(sum(q * q * w for q, w in steps), 271) == Fraction(970, 271)
 
 
 class TestVariants:

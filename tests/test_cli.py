@@ -178,6 +178,25 @@ def test_recurse_zigzag(capsys):
     assert rows[2] == "1,3,4,2"
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (("zigzag", "--kmax", "75"),
+         "e4424c24928e988f46703ab861fbbaba8c7520519f4ff8cab57c61209a5de3ab"),
+        (("zigzag", "--kmax", "75", "--variant", "all"),
+         "7a021c8c30c351f5f28913f36b80f13102a9acf78ab0b3122d3d38250b221c36"),
+        (("rchain", "--r", "3", "--kmax", "50"),
+         "632a486b40cd7ea40b8f3a94bd2a07b1fe74d59a0ca5b07e7fccc535d0f20367"),
+        (("rchain", "--r", "3", "--kmax", "50", "--corners"),
+         "a5eb435ca563d225cf64fe7a18e4b8759bc6c3c7047a9afe7adbd1d001897bd3"),
+    ],
+)
+def test_recurse_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "recurse", "--family", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_recurse_rchain_corners(capsys):
     code, out, _ = run(capsys, "recurse", "--family", "rchain", "--r", "2", "--corners", "--kmax", "3")
     assert out.strip().splitlines()[-1] == "3,136"

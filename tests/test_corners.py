@@ -3,7 +3,9 @@ from math import comb
 
 import pytest
 
+from ncmatch.chains import runner_counts, runner_series
 from ncmatch.corners import (
+    _coupled_cone,
     _exact_rows,
     chain_counts,
     condensed_table,
@@ -15,6 +17,7 @@ from ncmatch.corners import (
 )
 from ncmatch.geometry import Parity, make_rchain, make_zigzag
 from ncmatch.oracle import MatchKind, census, census_corner_split
+from ncmatch.zigzag import zigzag_series
 
 from conftest import as_fraction
 
@@ -258,6 +261,36 @@ class TestBandedKernel:
     def test_light_cone_counts_equal_full_series(self, r):
         kmax = max(4, 72 // r)
         assert chain_counts(r, kmax) == [f[0] for _, f in coupled_series(r, kmax)]
+        # two head rows, as the zigzag reads at r = 2, for both kinds: state k
+        # of the cone is the first r*(kmax-k) + 2 rows of the full state
+        for kind in KINDS:
+            full = list(_coupled_cone(r, kmax, kind=kind))
+            cone = list(_coupled_cone(r, kmax, heads=2, kind=kind))
+            assert len(cone) == kmax + 1 and len(cone[-1][0]) <= 2
+            for k, ((c_vec, f_vec), state) in enumerate(zip(full, cone)):
+                rows = r * (kmax - k) + 2
+                assert state == _trimmed(c_vec[:rows], f_vec[:rows])
+
+
+_VIEWS = {"runner_counts": runner_counts, "runner_series": runner_series,
+          "coupled_series": coupled_series, "chain_counts": chain_counts}
+
+
+@pytest.mark.parametrize(
+    "view, args",
+    [
+        *(pytest.param(view, (r, kmax), id=f"{name}({r},{kmax})")
+          for name, view in _VIEWS.items() for r, kmax in ((0, 0), (-2, 3), (3, -1))),
+        pytest.param(zigzag_series, (-1,), id="zigzag_series(-1)"),
+        *(pytest.param(zigzag_series, (0, kind), id=f"zigzag_series(0,{kind})")
+          for kind in ("perfect", "bogus")),
+    ],
+)
+def test_views_refuse_at_the_call(view, args):
+    # every view of the light-cone driver reads it out at once: a lazy
+    # result would raise only when iterated, and kmax = 0 takes no step
+    with pytest.raises(ValueError):
+        view(*args)
 
 
 # every stop is checked up to r = 20; at 40 and 60 the stops where a bound
