@@ -6,7 +6,11 @@ meant to check.  All geometry is resolved up front into bitmask tables
 ``geometry._side_masks``, the library's one integer order-type pass, and
 cached per point tuple.  One backtracking sweep over the points in x-order,
 using only bitmask tests, hands each *skeleton* to a leaf fold (tally, list
-or count), so exactness costs nothing inside the hot loop.
+or count), so exactness costs nothing inside the hot loop.  Short tails of
+the sweep repeat: within one call, the completions of a state with a few
+unused points depend only on its next point and the edges over it, so the
+sweep records them once and replays them, in the same order, at every
+visit.
 A skeleton is a matching up to its *loose* points: unmatched points that
 may be either free or a runner because no edge passes over them (only
 ``RHO_DOWN_FREE`` has any).  The sweep marks them instead of branching on
@@ -100,7 +104,7 @@ class MatchingCensus:
 class _Tables:
     """Per-point-set boolean tables as bitmasks over edge ids."""
 
-    __slots__ = ("n", "pairs", "eid", "cross", "below", "above", "moves")
+    __slots__ = ("n", "pairs", "eid", "cross", "below", "above", "span", "moves")
 
     def __init__(self, points: tuple):
         n = len(points)
@@ -129,6 +133,8 @@ class _Tables:
         self.cross = cross
         self.below = below
         self.above = above
+        # span[i]: the edges (a, b) with a < i < b, each over or under i
+        self.span = [b | a for b, a in zip(below, above)]
         # per point i: (bit of j, bit of edge ij, edges crossing ij) for each j > i
         self.moves = [[] for _ in range(n)]
         for k, (i, j) in enumerate(pairs):
@@ -155,6 +161,21 @@ def _check_cap(ps: PointSet, kind: MatchKind, cap: Optional[int]) -> None:
 # enumeration
 # ---------------------------------------------------------------------------
 
+#: unused-point counts of the walk states that replay their completions from
+#: the call's memo, when their next point is right of the set's middle.  A
+#: state with one or two unused points walks faster than it is looked up; one
+#: with six or more, or left of the middle, repeats too seldom to pay for its
+#: recording.
+_TAIL = range(3, 6)
+
+
+def _recorder(tail: list, base: int) -> Callable[[int, int], None]:
+    """A leaf that appends to `tail` the edges each skeleton adds to `base`,
+    with its runner bits.  (Made outside `_walk`: a lambda inside it would
+    make `edges` a cell variable of every walk frame, about 5% slower.)"""
+    add = tail.append
+    return lambda edges, runners: add((edges ^ base, runners))
+
 
 def _walk(
     tab: _Tables,
@@ -165,7 +186,7 @@ def _walk(
     ok_edge: Optional[int] = None,
 ) -> None:
     """Call ``leaf(edges, runners)``, bitmasks over edge ids and points, once
-    per skeleton of a matching of `kind`.
+    per skeleton of a matching of `kind`, in walk order.
 
     Each unused point, in x-order, is left free, made a runner, or matched to
     a later point.  A point that may be either free or a runner is marked
@@ -174,6 +195,19 @@ def _walk(
     over a point is added before the walk reaches it, so the choice is final
     there.  `used` and `edges` fix points and edges from the start;
     `ok_edge`, when given, masks the edges that may be added.
+
+    A state whose next unused point i is right of the middle, with a number
+    of unused points in `_TAIL`, is keyed by ``(i, edges & span[i])``, the
+    edges over i; its completions depend on nothing else.  The fixed points,
+    edges and `ok_edge` are the same in every state of the call.  Every edge
+    the walk adds starts left of i: one that ends left of i can neither pass
+    over a later point nor cross a later edge (their x-spans are disjoint),
+    and one that ends right of i passes over i, so the key also fixes
+    ``used >> i``.  The first visit runs the branch body from the state into
+    a recording leaf, which keeps the edges and runner bits each completion
+    adds (states nested in it replay into the recorder); every visit then
+    calls the leaf once per recorded completion.  So each skeleton reaches
+    the leaf once, in the same order.  The memo lives for one call.
     """
     n = tab.n
     free_block = tab.above if kind is MatchKind.UP_FREE else tab.below
@@ -185,27 +219,52 @@ def _walk(
     moves = tab.moves
     if ok_edge is not None:
         moves = [[mv for mv in row if mv[1] & ok_edge] for row in moves]
+    span = tab.span
+    half = n // 2
+    memo: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    busy: list = []  # the memo entry of a state while its tail is recorded
+    sink = leaf  # where the walk's skeletons go: `leaf`, or a recorder
 
-    def walk(i: int, used: int, edges: int, runners: int) -> None:
+    def walk(i: int, left: int, used: int, edges: int, runners: int) -> None:
+        nonlocal sink
         while (used >> i) & 1:  # used has no bit at n or above
             i += 1
-        if i == n:
-            leaf(edges, runners)
+        if not left:
+            sink(edges, runners)
             return
+        if i >= half and left in _TAIL:
+            key = (i, edges & span[i])
+            tail = memo.get(key)
+            if tail is None:
+                memo[key] = busy  # so the call below runs the branch body
+                out, tail = sink, []
+                sink = _recorder(tail, edges)
+                walk(i, left, used, edges, 0)
+                sink = out
+                memo[key] = tail
+            if tail is not busy:
+                for e, r in tail:
+                    sink(edges | e, runners | r)
+                return
         ubit = 1 << i
+        left -= 1
         if free_block is not None and not (free_block[i] & edges):
             if runner_block is not None and not (runner_block[i] & edges):
-                walk(i + 1, used, edges, runners | ubit << n)  # loose
+                walk(i + 1, left, used, edges, runners | ubit << n)  # loose
             else:
-                walk(i + 1, used, edges, runners)
+                walk(i + 1, left, used, edges, runners)
         elif runner_block is not None and not (runner_block[i] & edges):
-            walk(i + 1, used, edges, runners | ubit)
+            walk(i + 1, left, used, edges, runners | ubit)
+        left -= 1
         for jbit, ebit, crossing in moves[i]:
             if used & jbit or crossing & edges:
                 continue
-            walk(i + 1, used | ubit | jbit, edges | ebit, runners)
+            walk(i + 1, left, used | ubit | jbit, edges | ebit, runners)
 
-    walk(0, used, edges, 0)
+    left = n - used.bit_count()  # unused points
+    if kind is MatchKind.PERFECT and left & 1:
+        return  # each edge uses two points: an odd count never runs out
+    walk(0, left, used, edges, 0)
 
 
 class _Decoded(dict):

@@ -8,6 +8,7 @@ from ncmatch.chains import (
     _banded_step,
     _growth_factors,
     _parity_windows,
+    _runner_band,
     arc_count,
     best_arc_size,
     excursion_moments,
@@ -139,6 +140,23 @@ class TestRunnerRecursion:
         for k in range(1, 5):
             vec = mat.apply(vec)
             assert vec == runner_counts(4, k)
+
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_counts_are_a_reflected_band_power(self, r):
+        # with P(u) = sum of band[beta] u^beta over beta = -r..r, entry i of
+        # v_k is [u^i] P^k - [u^(i+2)] P^k: the band walks from 0 that end
+        # at i, less those that end at the image i + 2 (ballot problem)
+        band = _runner_band(r)
+        power = [1]  # coefficients of P^k at u^-rk .. u^rk
+        for k, vec in enumerate(runner_series(r, 40)):
+            if k:
+                grown = [0] * (len(power) + 2 * r)
+                for a, p in enumerate(power):
+                    for b, w in enumerate(band):
+                        grown[a + b] += p * w
+                power = grown
+            coeff = lambda e: power[e + r * k] if e <= r * k else 0
+            assert vec == [coeff(i) - coeff(i + 2) for i in range(r * k + 1)], (r, k)
 
 
 class TestBandedKernel:

@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -34,6 +35,7 @@ from ncmatch.oracle import (
     is_up_free,
     matchings,
 )
+from ncmatch import oracle
 from ncmatch.oracle import _tables, _walk
 
 from conftest import globalize, halves_maps
@@ -431,3 +433,153 @@ class TestTinySets:
         for kind in (MatchKind.ALL, MatchKind.DOWN_FREE, MatchKind.UP_FREE):
             assert census(one, kind).by_free_and_runners == {(1, 0): 1}
         assert census(one, MatchKind.RHO_DOWN_FREE).by_free_and_runners == {(1, 0): 1, (0, 1): 1}
+
+
+def _reference_walk(tab, kind, leaf, used=0, edges=0, ok_edge=None):
+    """The oracle walk without its tail memo: each state's branches walked
+    afresh, in the same order."""
+    n = tab.n
+    free_block = tab.above if kind is MatchKind.UP_FREE else tab.below
+    if kind is MatchKind.ALL:
+        free_block = [0] * n
+    elif kind is MatchKind.PERFECT:
+        free_block = None
+    runner_block = tab.above if kind is MatchKind.RHO_DOWN_FREE else None
+    moves = tab.moves
+    if ok_edge is not None:
+        moves = [[mv for mv in row if mv[1] & ok_edge] for row in moves]
+
+    def walk(i, used, edges, runners):
+        while (used >> i) & 1:
+            i += 1
+        if i == n:
+            leaf(edges, runners)
+            return
+        ubit = 1 << i
+        if free_block is not None and not (free_block[i] & edges):
+            if runner_block is not None and not (runner_block[i] & edges):
+                walk(i + 1, used, edges, runners | ubit << n)
+            else:
+                walk(i + 1, used, edges, runners)
+        elif runner_block is not None and not (runner_block[i] & edges):
+            walk(i + 1, used, edges, runners | ubit)
+        for jbit, ebit, crossing in moves[i]:
+            if used & jbit or crossing & edges:
+                continue
+            walk(i + 1, used | ubit | jbit, edges | ebit, runners)
+
+    walk(0, used, edges, 0)
+
+
+def _leaf_calls(walk, ps, kind, **start):
+    calls = []
+    walk(_tables(ps), kind, lambda edges, runners: calls.append((edges, runners)), **start)
+    return calls
+
+
+def _fixed_start(tab, fixed, allowed=None):
+    """used, edges and ok_edge as count_perfect_extensions passes them."""
+    start = {
+        "used": sum(1 << i for e in fixed for i in e),
+        "edges": sum(1 << tab.eid[e] for e in fixed),
+    }
+    if allowed is not None:
+        start["ok_edge"] = sum(1 << tab.eid[e] for e in allowed)
+    return start
+
+
+class TestTailMemo:
+    """The memoized walk calls its leaf exactly as the plain walk does."""
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("kind", list(MatchKind))
+    def test_zigzags(self, kind, n, parity):
+        ps = make_zigzag(n, parity)
+        assert _leaf_calls(_walk, ps, kind) == _leaf_calls(_reference_walk, ps, kind)
+
+    @pytest.mark.parametrize(
+        "ps",
+        [
+            make_rchain(3, 3, corners=True),
+            make_rchain(3, 3, corners=False),
+            make_rchain(2, 5, corners=True),
+            make_rchain(4, 2, corners=False),
+            make_chain(11, Direction.UPWARD),
+            double_chain(12).points,
+            double_zigzag(12).points,
+        ],
+        ids=lambda ps: ps.label,
+    )
+    @pytest.mark.parametrize("kind", list(MatchKind))
+    def test_family_sets(self, kind, ps):
+        assert _leaf_calls(_walk, ps, kind) == _leaf_calls(_reference_walk, ps, kind)
+
+    def test_random_sets(self):
+        rng = random.Random(2424)
+        for n in [*range(11)] * 3 + [10, 10]:
+            ps = _random_general_position(rng, n) if n else PointSet(())
+            for kind in MatchKind:
+                assert _leaf_calls(_walk, ps, kind) == _leaf_calls(_reference_walk, ps, kind), ps.points
+
+    @pytest.mark.parametrize(
+        "fixed,allowed",
+        [
+            # fixed edges right of the first memoized points (6 and 7)
+            ({(8, 11)}, None),
+            ({(2, 3), (7, 11)}, None),
+            ({(0, 11)}, None),
+            # one edge inside another, with the added edges restricted
+            ({(4, 11), (6, 7)}, {(i, j) for i in range(12) for j in range(i + 1, 12) if (i + j) % 3}),
+        ],
+    )
+    @pytest.mark.parametrize("kind", list(MatchKind))
+    def test_fixed_starts(self, kind, fixed, allowed):
+        ps = make_zigzag(12)
+        start = _fixed_start(_tables(ps), fixed, allowed)
+        assert _leaf_calls(_walk, ps, kind, **start) == _leaf_calls(_reference_walk, ps, kind, **start)
+
+    def test_cross_completion_starts(self):
+        # the starts count_cross_completions makes: within-half matchings
+        # fixed, only upper-lower edges allowed
+        for d in (double_chain(12), double_zigzag(12)):
+            up_map, low_map = halves_maps(d)
+            ups, lows = d.upper_set(), d.lower_set()
+            allowed = {(min(u, l), max(u, l)) for u in d.upper for l in d.lower}
+            tab = _tables(d.points)
+            uppers = list(matchings(ups, MatchKind.DOWN_FREE))[::7]
+            lowers = list(matchings(lows, MatchKind.ALL))[::11]
+            for mu, ml in zip(uppers, lowers):
+                fixed = globalize(mu, up_map).edges | globalize(ml, low_map).edges
+                start = _fixed_start(tab, fixed, allowed)
+                for kind in (MatchKind.PERFECT, MatchKind.ALL):
+                    assert _leaf_calls(_walk, d.points, kind, **start) == _leaf_calls(
+                        _reference_walk, d.points, kind, **start
+                    )
+
+    def test_tails_are_recorded_and_replayed(self, monkeypatch):
+        # 561 tails recorded for 23,007 leaves at the time of writing
+        recorded = count()
+        record = oracle._recorder
+
+        def counted(*args):
+            next(recorded)
+            return record(*args)
+
+        monkeypatch.setattr(oracle, "_recorder", counted)
+        calls = _leaf_calls(_walk, make_zigzag(12), MatchKind.ALL)
+        assert calls == _leaf_calls(_reference_walk, make_zigzag(12), MatchKind.ALL)
+        assert 0 < next(recorded) < len(calls) // 20
+
+    def test_odd_perfect_walk_takes_no_step(self):
+        # each edge uses two points, so an odd count of unused points ends
+        # the walk before its first step
+        class Untouchable(list):
+            def __getitem__(self, i):
+                raise AssertionError("the walk took a step")
+
+        for n in (3, 7, 11):
+            tab = copy.copy(_tables(make_zigzag(n)))
+            tab.moves = Untouchable()
+            _walk(tab, MatchKind.PERFECT, lambda edges, runners: pytest.fail("leaf called"))
+        assert count_perfect_extensions(make_chain(7), Matching(frozenset({(0, 2)}))) == 0
