@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-import time
 from fractions import Fraction
 
 from . import chains, corners, doubling, geometry, oracle, spectral, zigzag
@@ -63,23 +62,6 @@ def _tabular(fmt: str, header: list[str], rows: list[list]) -> str:
 
     lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict) or not isinstance(cfg.get("caps", {}), dict):
-        raise CliError('config: expected a JSON object like {"caps": {"all": 18}}')
-    kinds = {k.value for k in MatchKind}
-    for key, cap in cfg.get("caps", {}).items():
-        if key not in kinds:
-            raise CliError(f"config: unknown cap {key!r}; expected one of {', '.join(sorted(kinds))}")
-        # bool is an int subclass, so test the exact type
-        if type(cap) is not int or cap < 0:
-            raise CliError(f"config: cap {key!r} must be a nonnegative integer, not {cap!r}")
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +120,7 @@ def cmd_count(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         ps = geometry.from_json_dict(json.load(fh))
     kind = MatchKind(args.kind)
-    cap = args.cap
-    if cap is None:
-        cap = _load_config(args).get("caps", {}).get(kind.value)
-    result = oracle.census(ps, kind, cap=cap)
+    result = oracle.census(ps, kind, cap=args.cap)
     payload = {
         "label": ps.label,
         "kind": kind.value,
@@ -366,7 +345,6 @@ def _verify_double(max_points: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    started = time.perf_counter()
     if args.family == "zigzag":
         results = _verify_zigzag(args.max_points)
     elif args.family == "rchain":
@@ -382,8 +360,6 @@ def cmd_verify(args) -> int:
         "cases": results,
         "all_pass": all(r["pass"] for r in results),
     }
-    if args.timings:
-        report["elapsed_seconds"] = round(time.perf_counter() - started, 3)
     _emit(args, _json(report))
     return 0 if report["all_pass"] else 1
 
@@ -419,8 +395,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="down-free",
                    choices=[k.value for k in MatchKind])
     p.add_argument("--cap", type=int)
-    p.add_argument("--config", help="JSON file with enumeration caps, e.g. "
-                                    '{"caps": {"all": 18}}')
     p.add_argument("--out")
 
     p = sub.add_parser("recurse", help="recursion tables")
@@ -459,7 +433,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=["zigzag", "rchain", "rchain-corners", "double"])
     p.add_argument("--max-points", type=int, default=10)
-    p.add_argument("--timings", action="store_true")
     p.add_argument("--out")
     return top
 

@@ -194,28 +194,28 @@ def _rchain_points(r: int, k: int) -> tuple[tuple[Point, ...], list[range]]:
     """Corner+arc coordinates for k concave arcs of size r+1 glued at corners.
 
     Corners sit on the convex parabola y = x*x at x = 0, r, 2r, ...; interior
-    points bulge above the corner chord by a flat rational quadratic.  The
-    bulge height is shrunk until the exhaustive order-type check passes.
+    points bulge above the corner chord by h (x - a)(b - x), h = 1/(4r); the
+    exhaustive order-type check confirms the promised order type.
     """
-    for shrink in range(64):
-        h = Fraction(1, 4 * r * (1 << shrink))
-        pts: list[Point] = []
-        arcs: list[range] = []
-        for arc in range(k):
-            a, b = arc * r, (arc + 1) * r
-            if arc == 0:
-                pts.append(_pt(a, a * a))
-            start = len(pts) - 1  # the shared left corner belongs to this arc
-            for x in range(a + 1, b):
-                chord = Fraction((a + b) * x - a * b)
-                bump = h * (x - a) * (b - x)
-                pts.append(_pt(x, chord + bump))
-            pts.append(_pt(b, b * b))
-            arcs.append(range(start, len(pts)))
-        # upward exactly within an arc, downward across arcs
-        if not _order_type_breach(pts, {t for rng in arcs for t in combinations(rng, 3)}):
-            return tuple(pts), arcs
-    raise AssertionError("no bulge height realizes the r-chain order type")
+    h = Fraction(1, 4 * r)
+    pts: list[Point] = []
+    arcs: list[range] = []
+    for arc in range(k):
+        a, b = arc * r, (arc + 1) * r
+        if arc == 0:
+            pts.append(_pt(a, a * a))
+        start = len(pts) - 1  # the shared left corner belongs to this arc
+        for x in range(a + 1, b):
+            chord = Fraction((a + b) * x - a * b)
+            bump = h * (x - a) * (b - x)
+            pts.append(_pt(x, chord + bump))
+        pts.append(_pt(b, b * b))
+        arcs.append(range(start, len(pts)))
+    # upward exactly within an arc, downward across arcs
+    broken = _order_type_breach(pts, {t for rng in arcs for t in combinations(rng, 3)})
+    if broken:
+        raise AssertionError(f"r-chain order type broken at triple {broken}")
+    return tuple(pts), arcs
 
 
 def make_rchain(r: int, k: int, corners: bool = True) -> PointSet:

@@ -515,32 +515,26 @@ def complete_to_perfect(
     matching is down-free and the lower one up-free, the i-th free upper
     point is joined to the i-th free lower point, left to right; the result
     is verified non-crossing.  Any other situation returns None.
+
+    The freeness tests read the union's tables: for a point p and an edge
+    (a, b) of its half, "a < p < b" and "p is left of the line a -> b" hold
+    in the union exactly when they hold in the half (the same points in the
+    same x-order), so no table of a half is built.
     """
     if m_upper.runners or m_lower.runners:
         raise ValueError("completion is defined for runner-free matchings")
-    ups = double.upper_set()
-    lows = double.lower_set()
-    up_map = {g: l for l, g in enumerate(double.upper)}
-    low_map = {g: l for l, g in enumerate(double.lower)}
-
-    def localize(m: Matching, mapping) -> Matching:
-        edges = []
-        for i, j in m.edges:
-            if i not in mapping or j not in mapping:
-                raise ValueError("edge leaves its half of the double set")
-            a, b = mapping[i], mapping[j]
-            edges.append((min(a, b), max(a, b)))
-        return Matching(frozenset(edges))
-
-    mu = localize(m_upper, up_map)
-    ml = localize(m_lower, low_map)
-    free_u = [double.upper[i] for i in mu.free_points(len(ups))]
-    free_l = [double.lower[i] for i in ml.free_points(len(lows))]
+    used_u, used_l = m_upper.matched_points(), m_lower.matched_points()
+    if not (used_u.issubset(double.upper) and used_l.issubset(double.lower)):
+        raise ValueError("edge leaves its half of the double set")
+    free_u = [g for g in double.upper if g not in used_u]
+    free_l = [g for g in double.lower if g not in used_l]
     if len(free_u) != len(free_l):
         raise ValueError(
             f"free-point counts differ: {len(free_u)} upper vs {len(free_l)} lower"
         )
-    if not (is_down_free(ups, mu) and is_up_free(lows, ml)):
+    tab = _tables(double.points)
+    up_mask, low_mask = _edge_mask(tab, m_upper.edges), _edge_mask(tab, m_lower.edges)
+    if any(tab.below[p] & up_mask for p in free_u) or any(tab.above[p] & low_mask for p in free_l):
         return None
     joined = set(m_upper.edges) | set(m_lower.edges)
     for g_up, g_low in zip(free_u, free_l):

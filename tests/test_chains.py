@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -286,6 +287,16 @@ class TestExcursionGrowth:
         lam, var = excursion_moments(5)
         assert lam == sum(w for _, w in steps) == growth_factor(5) == 271
         assert var == Fraction(sum(q * q * w for q, w in steps), 271) == Fraction(970, 271)
+
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_polynomial_factor_diagnostic(self, r):
+        # v_k[0] ~ K lambda^k k^(-3/2), K = 2 / (sqrt(2 pi) sigma^3); floats
+        # only as a diagnostic, as in criterion 9
+        lam, var = excursion_moments(r)
+        k = 400
+        K = 2 / (math.sqrt(2 * math.pi) * float(var) ** 1.5)
+        ratio = float(Fraction(runner_counts(r, k)[0], lam**k)) * k**1.5 / K
+        assert ratio == pytest.approx(1, rel=0.01)
 
 
 class TestVariants:

@@ -304,6 +304,62 @@ def test_unknown_flag_exits_nonzero(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--input", "pts.json", "--config", "cfg.json"],
+     ["verify", "--family", "zigzag", "--max-points", "4", "--timings"]],
+    ids=["count-config", "verify-timings"],
+)
+def test_retired_options_are_unrecognized(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    flag = next(a for a in argv if a in ("--config", "--timings"))
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_verify_rchain_corners_report(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "rchain-corners", "--max-points", "9")
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["cases"]) == 20
+    assert report["all_pass"] is True
+
+
+def test_verify_rchain_corners_flags_a_wrong_recursion_entry(capsys, monkeypatch):
+    import ncmatch.cli as cli
+
+    real = cli.corners.coupled_series
+
+    def perturbed(r, kmax):
+        series = real(r, kmax)
+        if r == 2:
+            c_vec, f_vec = series[2]
+            series[2] = (c_vec, [f_vec[0] + 1] + f_vec[1:])
+        return series
+
+    monkeypatch.setattr(cli.corners, "coupled_series", perturbed)
+    code, out, _ = run(capsys, "verify", "--family", "rchain-corners", "--max-points", "9")
+    assert code == 1
+    report = json.loads(out)
+    assert report["all_pass"] is False
+    assert [case["case"] for case in report["cases"] if not case["pass"]] == [
+        "corner split rchain(r=2,k=2,corners)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["recurse", "--family", "rchain", "--kmax", "3"], "rchain needs --r"),
+     (["growth"], "growth for chains needs --r")],
+    ids=["recurse", "growth"],
+)
+def test_chain_commands_without_r_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"ncmatch: {message}\n"
+
+
 def test_recurse_rchain_rows_are_consecutive_steps(capsys):
     from ncmatch.chains import runner_counts, transfer_matrix
 
@@ -360,39 +416,6 @@ def test_recurse_negative_kmax_is_usage_error(capsys, extra):
     assert "kmax must be nonnegative" in err
 
 
-@pytest.mark.parametrize("config", ["[]", '{"caps": [18]}'])
-def test_count_config_must_be_an_object(tmp_path, capsys, config):
-    pts, cfg = tmp_path / "pts.json", tmp_path / "cfg.json"
-    run(capsys, "gen", "--family", "chain", "--n", "5", "--out", str(pts))
-    cfg.write_text(config)
-    code, out, err = run(capsys, "count", "--input", str(pts), "--config", str(cfg))
-    assert code == 2 and out == ""
-    assert "config" in err
-
-
-@pytest.mark.parametrize(
-    "caps",
-    [{"down-free": "18"}, {"down-free": True}, {"down-free": 2.5}, {"down-free": -1},
-     {"down-free": None}, {"downfree": 18}, {"all": 18, "every": 18}],
-    ids=["string", "bool", "float", "negative", "null", "unknown-key", "one-unknown-key"],
-)
-def test_count_config_caps_are_validated(tmp_path, capsys, caps):
-    pts, cfg = tmp_path / "pts.json", tmp_path / "cfg.json"
-    run(capsys, "gen", "--family", "chain", "--n", "5", "--out", str(pts))
-    cfg.write_text(json.dumps({"caps": caps}))
-    code, out, err = run(capsys, "count", "--input", str(pts), "--config", str(cfg))
-    assert code == 2 and out == ""
-    assert err.startswith("ncmatch: config: ") and err.count("\n") == 1
-
-
-def test_count_config_caps_of_other_kinds_are_accepted(tmp_path, capsys):
-    pts, cfg = tmp_path / "pts.json", tmp_path / "cfg.json"
-    run(capsys, "gen", "--family", "chain", "--n", "5", "--out", str(pts))
-    cfg.write_text(json.dumps({"caps": {"down-free": 5, "all": 0, "rho-down-free": 16}}))
-    code, out, _ = run(capsys, "count", "--input", str(pts), "--config", str(cfg))
-    assert code == 0 and json.loads(out)["total"] == "21"
-
-
 @pytest.mark.parametrize("cap", ["-1", "-40"])
 def test_count_negative_cap_is_refused_before_enumeration(tmp_path, capsys, monkeypatch, cap):
     import ncmatch.cli as cli
@@ -414,14 +437,6 @@ def test_count_zero_cap_reaches_the_enumeration(tmp_path, capsys):
     code, out, err = run(capsys, "count", "--input", str(pts), "--cap", "0")
     assert code == 2 and out == ""
     assert "exceeds the down-free enumeration cap 0" in err
-
-
-def test_count_config_caps_apply(tmp_path, capsys):
-    pts, cfg = tmp_path / "pts.json", tmp_path / "cfg.json"
-    run(capsys, "gen", "--family", "chain", "--n", "12", "--out", str(pts))
-    cfg.write_text('{"caps": {"all": 10}}')
-    code, _, err = run(capsys, "count", "--input", str(pts), "--kind", "all", "--config", str(cfg))
-    assert code == 2 and "cap" in err
 
 
 @pytest.mark.parametrize(

@@ -345,12 +345,56 @@ class TestCompletion:
         with pytest.raises(ValueError):
             complete_to_perfect(d, Matching(frozenset(), frozenset({0})), Matching(frozenset()))
 
+    def test_edge_into_the_other_half_rejected(self):
+        d = double_chain(6)
+        across = Matching(frozenset({(min(d.upper[0], d.lower[0]), max(d.upper[0], d.lower[0]))}))
+        with pytest.raises(ValueError, match="leaves its half"):
+            complete_to_perfect(d, across, Matching(frozenset()))
+
+    @pytest.mark.parametrize(
+        "make", [double_chain, double_zigzag, lambda n: double_zigzag(n, Parity.ODD)],
+        ids=["double-chain", "double-zigzag-even", "double-zigzag-odd"],
+    )
+    @pytest.mark.parametrize("n", range(2, 11, 2))
+    def test_union_tables_agree_with_the_halves_own(self, make, n):
+        # the reference route tests freeness on each half's own point set
+        d = make(n)
+        up_map, low_map = halves_maps(d)
+        ups, lows = d.upper_set(), d.lower_set()
+        uppers = list(matchings(ups, MatchKind.ALL))
+        lowers = list(matchings(lows, MatchKind.ALL))
+        completed = 0
+        for mp in uppers:
+            free_u = [up_map[i] for i in mp.free_points(len(ups))]
+            for mq in lowers:
+                free_l = [low_map[i] for i in mq.free_points(len(lows))]
+                if len(free_u) != len(free_l):
+                    continue
+                gp, gq = globalize(mp, up_map), globalize(mq, low_map)
+                want = None
+                if is_down_free(ups, mp) and is_up_free(lows, mq):
+                    cross = {(min(u, l), max(u, l)) for u, l in zip(free_u, free_l)}
+                    m = Matching(gp.edges | gq.edges | cross)
+                    want = m if is_noncrossing(d.points, m) else None
+                assert complete_to_perfect(d, gp, gq) == want
+                completed += want is not None
+        assert completed > 0
+
 
 def test_extension_counter_respects_fixed_edges():
     ps = make_chain(6)
     fixed = Matching(frozenset({(0, 5)}))
     # edge over everything: remaining points must match under it
     assert count_perfect_extensions(ps, fixed) == catalan(2)
+
+
+def test_extension_counter_refuses_runners():
+    with pytest.raises(ValueError, match="runner-free"):
+        count_perfect_extensions(make_chain(6), Matching(frozenset({(0, 1)}), frozenset({2})))
+
+
+def test_extension_counter_with_crossing_fixed_edges_is_zero():
+    assert count_perfect_extensions(make_chain(4), Matching(frozenset({(0, 2), (1, 3)}))) == 0
 
 
 def _reference_tables(ps: PointSet):

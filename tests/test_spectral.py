@@ -8,7 +8,7 @@ from typing import Optional
 import pytest
 
 from ncmatch import quadfield, spectral
-from ncmatch.corners import CoupledSystem, extract_band
+from ncmatch.corners import CoupledSystem, _exact_rows, extract_band
 from ncmatch.quadfield import QuadNumber
 from ncmatch.spectral import (
     RescaledSystem,
@@ -194,6 +194,34 @@ class TestCertificates:
         cert = build_certificate(resc, eps)
         assert cert.support_x[0] >= 1 and cert.support_y[0] >= 1
         assert verify_certificate(resc, cert)
+
+    @staticmethod
+    def _head_rows_hold(r, kind, eps, margin=None) -> bool:
+        """Rows 0..r-1 of the true step (``_exact_rows``; the verifier reads
+        the stabilized band, which dominates it there) on the certificate in
+        unscaled coordinates (xbar, up * ybar), up = l_C / l_F: each C row is
+        at least lam * xbar and each F row over up at least lam * ybar, with
+        lam = M - margin and margin = eps unless given."""
+        sys_r = extract_band(r, kind=kind)
+        resc = rescale(sys_r)
+        cert = build_certificate(resc, eps)
+        l_c, l_f = eigen_data(sys_r.condensed).left
+        up = l_c / l_f
+        lam = resc.m - (eps if margin is None else margin)
+        x = [cert.xbar(resc, i) for i in range(2 * r + 2)]
+        y = [cert.ybar(resc, i) for i in range(2 * r + 2)]
+        c_rows, f_rows = _exact_rows(x, [up * v for v in y], r, r, kind)
+        return all(c >= lam * v for c, v in zip(c_rows, x)) and all(
+            f / up >= lam * v for f, v in zip(f_rows, y))
+
+    @pytest.mark.parametrize("r", range(2, 9))
+    @pytest.mark.parametrize("kind", ["down-free", "all"])
+    @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 100)])
+    def test_certificate_holds_on_the_true_head_rows(self, r, kind, eps):
+        assert self._head_rows_hold(r, kind, eps)
+
+    def test_head_row_check_refuses_a_rate_above_the_eigenvalue(self):
+        assert not self._head_rows_hold(6, "down-free", Fraction(1, 100), margin=-1)
 
     def test_support_scales_like_twice_root_peak(self):
         resc = rescale(extract_band(2))
