@@ -27,12 +27,12 @@ Replacing the arc tail C(r-i, floor((r-i)/2)) by a Catalan or Motzkin number
 counts perfect or arbitrary matchings, with the same column sums.  ``_tails``
 defines the tails of each kind once; ``corners`` and ``doubling`` read them.
 
-The left edge is a reflection.  Row i's window stops at i + j, so entry
-(i, j) is the stabilized diagonal value at offset i - j minus the one at
-i + j + 2, the offset of row i from the image -j - 2 of column j.
-``runner_step`` therefore applies the stabilized Toeplitz band
-(``_banded_step``, shared with the coupled corner recursion) to the vector
-extended by its odd reflection, with no separate rows near the edge.
+The left edge is data.  Row i's window stops at i + j, so entry (i, j) is
+the stabilized diagonal value at offset i - j minus the one at i + j + 2,
+the offset of row i from the image -j - 2 of column j: a Toeplitz band on
+the vector read as 0 outside its support, minus a Hankel block.  The
+banded kernel ``_banded_step`` applies both, from bands and image windows
+given as data, to this recursion and to the coupled one of ``corners``.
 ``BandMatrix.apply`` stays an entry-by-entry evaluation, a second route
 that the tests compare the kernel against.  One driver, ``_light_cone``,
 steps this recursion and the coupled one of ``corners``; the series and
@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from math import comb
 from operator import add, mul
 from typing import Callable, Iterator, Literal, Sequence
@@ -201,23 +201,22 @@ def runner_step(vec: Sequence[int], r: int) -> list[int]:
     """One exact step v_{k-1} -> v_k; the support grows by r.
 
     Row i sums the parity window |i-j| <= beta <= min(r, i+j) of the arc
-    counts, which is the stabilized diagonal at offset i - j minus the image
-    window that starts at i + j + 2.  So the step is the stabilized Toeplitz
-    band applied to vec extended by its odd reflection: index -1 holds 0 and
-    index -j-2 holds -vec[j] for j < r - 1.
+    counts: the full window w[|i - j|] minus its image w[i + j + 2].  So the
+    step is one kernel call with the band w[|q|], q = -r..r, and the image
+    windows w.
     """
     if r < 1:
         raise ValueError("r must be positive")
-    image = [-v for v in reversed(vec[: r - 1])]
-    reflected = [0] * (r - 1 - len(image)) + image + [0, *vec]
-    return _banded_step((reflected,), ((_runner_band(r),),))[0]
+    band = _runner_band(r)
+    return _banded_step((vec,), ((band,),), ((band[r:],),))[0]
 
 
 @lru_cache(maxsize=None)
 def _runner_band(r: int) -> tuple[int, ...]:
-    """The stabilized band at offsets -r..r: the full parity windows."""
-    windows = _parity_windows(_arc_counts_cached(r))
-    return tuple(windows[abs(q)] for q in range(-r, r + 1))
+    """The stabilized band at offsets -r..r: the full parity windows w[|q|]
+    of the arc counts, so that band[r:] = w are the image windows too."""
+    windows = tuple(_parity_windows(_arc_counts_cached(r)))
+    return windows[:0:-1] + windows
 
 
 def _parity_windows(row: Sequence[int]) -> list[int]:
@@ -233,44 +232,44 @@ def _parity_windows(row: Sequence[int]) -> list[int]:
 _CHAIN_DEPTH = 64
 
 
-def _banded_step(vecs, bands, rows: int | None = None) -> list[list[int]]:
-    """Rows r and up of one exact step of a multi-state banded recursion.
+def _banded_step(vecs, bands, windows, rows: int | None = None) -> list[list[int]]:
+    """Rows 0..size-1 of one exact step of a multi-state banded recursion,
+    size = min(n + r, rows), n the longest input state.
 
-    ``vecs`` are the input states, all of one length n.  ``bands[x][y]``
-    holds the 2r+1 stabilized coefficients of state x's response to state y
-    at offsets j - i = -r..r.  Row i >= r is sum_beta band[beta] *
-    vec[i + beta]; the rows below r would read indices below 0.  Returns one
-    list per state of rows r..size-1, where size = min(n + r, rows).
+    ``bands[x][y]`` holds the 2r+1 stabilized coefficients of state x's
+    response to state y at offsets j - i = -r..r, and ``windows[x][y]`` the
+    image windows in the same layout.  Row i of state x is the Toeplitz sum
+    over y and beta of bands[x][y][beta + r] * vecs[y][i + beta], each state
+    read as 0 outside [0, len), minus the Hankel head block: the dot product
+    of windows[x][y][i + 2:] with vecs[y], nonzero only in the head rows
+    i < len(window) - 2.
 
-    In the first ``full`` rows every offset is in range, so each output
-    state is one lazy chain of C-level slice maps over all states and
-    offsets, ``map(add, acc, map(mul, slice, repeat(coef)))``, where a unit
-    coefficient adds its slice unmultiplied; the chain is materialized every
-    ``_CHAIN_DEPTH`` terms.  The at most 2r trailing rows, where the upper
-    offsets run off the end, are added offset by offset with short slices.
+    The states are padded with zeros on both sides, so every offset reads
+    one full slice, and each output state is one lazy chain of C-level slice
+    maps over all states and offsets, ``map(add, acc, map(mul, slice,
+    repeat(coef)))``, where a unit coefficient adds its slice unmultiplied;
+    the chain is materialized every ``_CHAIN_DEPTH`` terms.
     """
-    n = len(vecs[0])
     r = len(bands[0][0]) // 2
-    span = n if rows is None else min(n, rows - r)
-    full = max(0, min(span, n - 2 * r))
+    n = max(map(len, vecs))
+    size = n + r if rows is None else min(n + r, rows)
+    padded = [[*repeat(0, r), *islice(vec, size + r), *repeat(0, size + r - len(vec))] for vec in vecs]
     outs = []
     for row in bands:
-        acc = [0] * full
-        rest = [0] * (span - full)
+        acc = [0] * size
         depth = 0
-        for vec, band in zip(vecs, row):
+        for vec, band in zip(padded, row):
             for start, coef in enumerate(band):
-                if not coef:
-                    continue
-                part = vec[start : start + full]
-                acc = map(add, acc, part if coef == 1 else map(mul, part, repeat(coef)))
-                depth += 1
-                if depth == _CHAIN_DEPTH:
-                    acc, depth = list(acc), 0
-                part = vec[start + full : start + span]
-                if part:
-                    rest[: len(part)] = map(add, rest, part if coef == 1 else map(mul, part, repeat(coef)))
-        outs.append([*acc, *rest])
+                if coef:
+                    part = vec[start : start + size]
+                    acc = map(add, acc, part if coef == 1 else map(mul, part, repeat(coef)))
+                    depth += 1
+                    if depth == _CHAIN_DEPTH:
+                        acc, depth = list(acc), 0
+        outs.append(list(acc))
+    for out, row in zip(outs, windows):
+        for i in range(min(size, len(row[0]) - 2)):
+            out[i] -= sum(sum(map(mul, window[i + 2 :], vec)) for window, vec in zip(row, vecs))
     return outs
 
 

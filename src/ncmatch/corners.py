@@ -43,16 +43,16 @@ once per key and cached.
 The index bounds only bite near the start of the vectors, and there only the
 window's upper end i + j does: as in ``chains``, a cut window is the full
 window from |i - j| minus its image, the full window from i + j + 2.  So a
-step is the Toeplitz band convolution on every row, with the inputs at
-indices below 0 taken as 0 (one call of the shared banded kernel of
-``chains`` on the states with r zeros in front), and each head row i < r - 2
-then subtracts its image windows, the sum over j < r - 2 - i of
-window[i + j + 2] * vec[j].  The band coefficients are read by
-``extract_band``, which probes the six sums themselves (``_exact_rows``),
-their only reader outside the tests: the sums are the definition, evaluated
-column by column over the nonzero inputs only, so a unit probe costs O(r),
-and the tests check on random vectors that the kernel with the image
-correction equals them on every row.
+step is the Toeplitz band applied to the states read as 0 outside their
+support, minus a Hankel head block: row i < r - 2 subtracts the sum over
+j < r - 2 - i of window[i + j + 2] * vec[j], with the parity windows of the
+coupled families laid out ``[x][y]`` over the states like the bands.  One
+call of the shared banded kernel of ``chains`` applies both.  The band
+coefficients are read by ``extract_band``, which probes the six sums
+themselves (``_exact_rows``), their only reader outside the tests: the sums
+are the definition, evaluated column by column over the nonzero inputs only,
+so a unit probe costs O(r), and the tests check on random vectors that the
+kernel with the image correction equals them on every row.
 
 For analysis the recursion is condensed: away from small indices it is a
 2x2 array over the states (C, F) of bands ``bands[x][y][beta + r]``
@@ -109,29 +109,17 @@ def coupled_step(
 ) -> tuple[list[int], list[int]]:
     """One step of the r-chain's coupled recursion, attaching an r-point arc.
 
-    Every row is the stabilized band of ``extract_band(r, kind=kind)``,
-    read once per (r, kind), applied by the banded kernel of ``chains`` to
-    the states with r zeros in front.  A head row i < r - 2 is that band
-    minus its image windows: the full parity windows of ``_head_tables``
-    from i + j + 2, times input j, for j < r - 2 - i, each window sliced to
-    the input length and summed as one dot product.  The result equals the
-    six contribution sums of ``_exact_rows`` on every row.  With ``rows``
-    only the first ``rows`` entries are computed.  Trailing entries that are
-    zero in both states are dropped.
+    One call of the banded kernel of ``chains`` on ``_step_data(r, kind)``:
+    the stabilized band of ``extract_band`` on every row, minus the image
+    windows of ``_head_tables`` in the head rows i < r - 2.  The result
+    equals the six contribution sums of ``_exact_rows`` on every row.  The
+    states may differ in length; with ``rows`` only the first ``rows``
+    entries are computed.  Trailing entries that are zero in both states
+    are dropped.
     """
-    if r < 1:
-        raise ValueError("r must be positive")
     if rows is not None and rows < 0:
         raise ValueError("rows must be nonnegative")
-    n = max(len(c_prev), len(f_prev))
-    size = n + r if rows is None else min(n + r, rows)
-    padded = tuple([0] * r + list(vec) + [0] * (n - len(vec)) for vec in (c_prev, f_prev))
-    c_new, f_new = _banded_step(padded, _stable_bands(r, kind), size + r)
-    _, (wz, wi, ww, wu) = _head_tables(r, kind)
-    for i in range(min(r - 2, size)):
-        window = slice(i + 2, i + 2 + n)
-        c_new[i] -= sum(map(mul, wi[window], c_prev)) + sum(map(mul, wz[window], f_prev))
-        f_new[i] -= sum(map(mul, wu[window], c_prev)) + sum(map(mul, ww[window], f_prev))
+    c_new, f_new = _banded_step((c_prev, f_prev), *_step_data(r, kind), rows)
     while len(c_new) > 1 and c_new[-1] == 0 and f_new[-1] == 0:
         c_new.pop()
         f_new.pop()
@@ -139,20 +127,23 @@ def coupled_step(
 
 
 @lru_cache(maxsize=None)
-def _stable_bands(r: int, kind: Kind) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The bands of extract_band(r, kind=kind): one probe per (r, kind)."""
-    return extract_band(r, kind=kind).bands
+def _step_data(r: int, kind: Kind) -> tuple[tuple, tuple]:
+    """(bands, windows) of the true step, read once per (r, kind): the bands
+    of extract_band(r, kind=kind), which refuses r < 1 and an unknown kind,
+    and the image windows of _head_tables."""
+    return extract_band(r, kind=kind).bands, _head_tables(r, kind)[1]
 
 
 @lru_cache(maxsize=None)
 def _head_tables(r: int, kind: Kind) -> tuple[tuple, tuple]:
     """The families (no_corner, left_in, right_in) of
     corner_coefficients(r, kind) and the full parity windows sum(fam[q::2]),
-    q < r, of all four families in the order (no_corner, left_in, right_in,
-    both_in)."""
-    coeffs = corner_coefficients(r, kind)
-    families = (coeffs.no_corner, coeffs.left_in, coeffs.right_in, coeffs.both_in)
-    return families[:3], tuple(map(_parity_windows, families))
+    q < r, laid out [x][y] over the states (C, F) like the bands: left_in
+    and no_corner answer C and F inputs in C rows, both_in and right_in in
+    F rows."""
+    c = corner_coefficients(r, kind)
+    z, i, w, u = map(_parity_windows, (c.no_corner, c.left_in, c.right_in, c.both_in))
+    return (c.no_corner, c.left_in, c.right_in), ((i, z), (u, w))
 
 
 def _exact_rows(
@@ -169,7 +160,7 @@ def _exact_rows(
     costs O(r).  The small-index irregularities are nothing but the index
     bounds of the sums, so no separately tabulated corner cases exist.
     """
-    (Z, I, W), (wz, wi, ww, wu) = _head_tables(r, kind)
+    (Z, I, W), ((cc, cf), (fc, ff)) = _head_tables(r, kind)
     c_new = [0] * stop
     f_new = [0] * stop
     for j in range(min(len(c_prev), stop + r)):
@@ -195,12 +186,12 @@ def _exact_rows(
             # |i-j| <= alpha <= min(r-1, i+j), alpha = i-j (mod 2): the full
             # window from lo minus its image, the full window from i + j + 2
             if lo < r:
-                acc_c += wi[lo] * cp + wz[lo] * fp
-                acc_f += wu[lo] * cp + ww[lo] * fp
+                acc_c += cc[lo] * cp + cf[lo] * fp
+                acc_f += fc[lo] * cp + ff[lo] * fp
                 q = i + j + 2
                 if q < r:
-                    acc_c -= wi[q] * cp + wz[q] * fp
-                    acc_f -= wu[q] * cp + ww[q] * fp
+                    acc_c -= cc[q] * cp + cf[q] * fp
+                    acc_f -= fc[q] * cp + ff[q] * fp
             c_new[i] += acc_c
             f_new[i] += acc_f
     return c_new, f_new
@@ -221,7 +212,7 @@ def _coupled_cone(r: int, kmax: int, heads: int | None = None, kind: Kind = "dow
     """The states (C[k], F[k]) of ``chains._light_cone`` from C[0] = F[0] =
     [1].  The band is read before the first state, so r < 1 and an unknown
     kind are refused at the call, kmax = 0 included."""
-    _stable_bands(r, kind)
+    _step_data(r, kind)
     return _light_cone(
         lambda state, rows: coupled_step(*state, r, rows=rows, kind=kind), ([1], [1]), r, kmax, heads
     )

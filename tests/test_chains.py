@@ -161,13 +161,14 @@ class TestRunnerRecursion:
 
 
 class TestBandedKernel:
-    """runner_step applies the stabilized band to the reflected vector; every
-    row must equal the entry-by-entry definition."""
+    """runner_step applies the stabilized band to the zero-extended vector
+    and subtracts the image windows in the head rows; every row must equal
+    the entry-by-entry definition."""
 
     @pytest.mark.parametrize("r", [*range(1, 21), 40, 60])
     def test_head_width_r_is_exact_on_every_row(self, r):
-        # the reflected vector has n + r entries: the kernel's fully covered
-        # rows end at n - r, its trailing rows at n + r
+        # lengths around r and 2r: the head rows end at r - 1, and rows
+        # past n - r read the zero extension on the right
         rng = random.Random(r)
         for n in sorted({1, 2, r, r + 1, 2 * r - 1, 2 * r, 2 * r + 1, 2 * r + 3, 3 * r + 7}):
             vec = [rng.randrange(-10**30, 10**30) for _ in range(n)]
@@ -179,21 +180,23 @@ class TestBandedKernel:
     @pytest.mark.parametrize("states", [1, 2])
     def test_long_band_chain_is_materialized(self, states):
         # 2(2r + 1) = 120,002 nested lazy maps overflow the C stack; one
-        # fully covered row keeps the call cheap
+        # output row, without image windows, keeps the call cheap
         r = 30000
         vec = list(range(2 * r + 2))
         band = (1,) * (2 * r + 1)
-        outs = _banded_step((vec,) * states, ((band,) * states,) * states, r + 1)
-        assert outs == [[states * sum(vec[: 2 * r + 1])]] * states
+        outs = _banded_step((vec,) * states, ((band,) * states,) * states, (((),) * states,) * states, 1)
+        assert outs == [[states * sum(vec[: r + 1])]] * states
 
     @pytest.mark.parametrize("r", range(1, 21))
     def test_left_edge_is_a_reflection(self, r):
         # entry (i, j) is the stabilized diagonal at i - j minus the one at
-        # the image offset i + j + 2
+        # the image offset i + j + 2; the kernel's image windows are those
+        # diagonals at offsets 0..r
         mat = BandMatrix(r)
         for i in range(3 * r + 3):
             for j in range(3 * r + 3):
                 assert mat.entry(i, j) == mat.diagonal_value(i - j) - mat.diagonal_value(i + j + 2)
+        assert _runner_band(r)[r:] == tuple(mat.diagonal_value(q) for q in range(r + 1))
 
     def test_parity_windows_are_slice_sums(self):
         rng = random.Random(7)

@@ -7,6 +7,7 @@ from ncmatch.chains import runner_counts, runner_series
 from ncmatch.corners import (
     _coupled_cone,
     _exact_rows,
+    _step_data,
     chain_counts,
     condensed_table,
     corner_coefficients,
@@ -180,8 +181,8 @@ def _trimmed(c_vec, f_vec):
 
 class TestBandedKernel:
     """coupled_step applies the cached extract_band coefficients to every row
-    and subtracts the image windows from the rows below r - 2; every row must
-    equal the definition, the six contribution sums."""
+    and subtracts the image windows in the head rows below r - 2; every row
+    must equal the definition, the six contribution sums."""
 
     @pytest.mark.parametrize("r", [*range(1, 21), 40, 60])
     def test_head_width_r_is_exact_on_every_row(self, r):
@@ -193,8 +194,9 @@ class TestBandedKernel:
 
     @staticmethod
     def _step_equals_exact_rows(r, kind):
-        # the kernel's fully covered rows end at n - r and its trailing rows
-        # at n + r; the image correction covers the rows below r - 2
+        # rows past n - r read the zero extension on the right; the image
+        # correction covers the head rows below r - 2, and the cuts 1 and
+        # r - 3 end inside them
         rng = random.Random(r)
         for n in sorted({1, 2, r, r + 1, 2 * r - 1, 2 * r, 2 * r + 1, 2 * r + 3, 3 * r + 7}):
             c_vec = [rng.randrange(0, 10**30) for _ in range(n)]
@@ -202,14 +204,17 @@ class TestBandedKernel:
             c_vec[rng.randrange(n)] = 0
             want_c, want_f = _exact_rows(c_vec, f_vec, r, n + r, kind)
             assert coupled_step(c_vec, f_vec, r, kind=kind) == _trimmed(want_c, want_f)
-            for rows in sorted({rng.randrange(1, n + r + 1), r - 2, r, r + 1, n - r, n + r}):
+            for rows in sorted({rng.randrange(1, n + r + 1), 1, r - 3, r - 2, r, r + 1, n - r, n + r}):
                 if rows >= 0:
                     got = coupled_step(c_vec, f_vec, r, rows=rows, kind=kind)
                     assert got == _trimmed(want_c[:rows], want_f[:rows])
-            # unequal lengths are zero-padded
-            short = f_vec[: max(1, n // 2)]
-            want_c, want_f = _exact_rows(c_vec, short + [0] * (n - len(short)), r, n + r, kind)
-            assert coupled_step(c_vec, short, r, kind=kind) == _trimmed(want_c, want_f)
+            # unequal lengths are zero-padded, whichever state is shorter
+            cut = max(1, n // 2)
+            pad = [0] * (n - cut)
+            want_c, want_f = _exact_rows(c_vec, f_vec[:cut] + pad, r, n + r, kind)
+            assert coupled_step(c_vec, f_vec[:cut], r, kind=kind) == _trimmed(want_c, want_f)
+            want_c, want_f = _exact_rows(c_vec[:cut] + pad, f_vec, r, n + r, kind)
+            assert coupled_step(c_vec[:cut], f_vec, r, kind=kind) == _trimmed(want_c, want_f)
 
     def test_negative_row_count_rejected(self):
         with pytest.raises(ValueError, match="rows must be nonnegative"):
@@ -227,7 +232,7 @@ class TestBandedKernel:
             return real(r, probe, kind=kind)
 
         monkeypatch.setattr(corners, "extract_band", probe_once)
-        corners._stable_bands.cache_clear()
+        corners._step_data.cache_clear()
         try:
             coupled_series(4, 10)
             chain_counts(4, 10)
@@ -235,7 +240,7 @@ class TestBandedKernel:
             for _ in range(10):
                 state = coupled_step(*state, 4, kind="all")
         finally:
-            corners._stable_bands.cache_clear()
+            corners._step_data.cache_clear()
         assert calls == [(4, "down-free"), (4, "all")]
 
     def test_step_reads_the_system_bands_unrepacked(self, monkeypatch):
@@ -248,14 +253,14 @@ class TestBandedKernel:
             return probed.setdefault((r, kind), real(r, probe, kind=kind))
 
         monkeypatch.setattr(corners, "extract_band", probe)
-        corners._stable_bands.cache_clear()
+        corners._step_data.cache_clear()
         try:
             for kind in KINDS:
                 for r in range(1, 13):
-                    assert corners._stable_bands(r, kind) is probed[r, kind].bands
+                    assert corners._step_data(r, kind)[0] is probed[r, kind].bands
                     assert probed[r, kind].bands == real(r, kind=kind).bands
         finally:
-            corners._stable_bands.cache_clear()
+            corners._step_data.cache_clear()
 
     @pytest.mark.parametrize("r", range(1, 13))
     def test_light_cone_counts_equal_full_series(self, r):
@@ -348,6 +353,11 @@ class TestExactRowsAgainstReference:
         coeffs = corner_coefficients(r, kind)
         bands = extract_band(r, kind=kind).bands
         families = ((coeffs.left_in, coeffs.no_corner), (coeffs.both_in, coeffs.right_in))
+        # the kernel's image windows are these families' windows, [x][y]
+        windows = _step_data(r, kind)[1]
+        for x in range(2):
+            for y in range(2):
+                assert list(windows[x][y]) == [sum(families[x][y][q::2]) for q in range(r)]
         n = 3 * r + 4
         zero = [0] * n
         for j in range(n):
