@@ -5,17 +5,16 @@ meant to check.  All geometry is resolved up front into bitmask tables
 (segment crossings, which edges block a point's vertical rays), read off
 ``geometry._side_masks``, the library's one integer order-type pass, and
 cached per point tuple.  One backtracking sweep over the points in x-order,
-using only bitmask tests, hands each *skeleton* to a leaf fold (tally, list
+using only bitmask tests, hands the *skeletons* to a leaf fold (tally, list
 or count), so exactness costs nothing inside the hot loop.  Short tails of
 the sweep repeat: within one call, the completions of a state with a few
 unused points depend only on its next point and the edges over it, so the
-sweep records them once and replays them, in the same order, at every
-visit.
+sweep records them once and hands them to the fold in one call per visit.
 A skeleton is a matching up to its *loose* points: unmatched points that
 may be either free or a runner because no edge passes over them (only
 ``RHO_DOWN_FREE`` has any).  The sweep marks them instead of branching on
-them, and the fold expands a skeleton with b loose points into the C(b, t)
-matchings with t of them runners.
+them.  The tallies group the skeletons by their counts, then expand b loose
+points into the C(b, t) matchings with t of them runners.
 
 Matching kinds:
 
@@ -38,7 +37,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -67,7 +66,7 @@ class SizeCapError(ValueError):
     """Raised instead of starting an enumeration that would run away."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matching:
     """Edges (index pairs, i < j) plus runner marks over one point set."""
 
@@ -80,6 +79,12 @@ class Matching:
     def free_points(self, n: int) -> tuple[int, ...]:
         used = self.matched_points() | self.runners
         return tuple(i for i in range(n) if i not in used)
+
+
+# the lister's constructor: fills the slots, past the frozen __setattr__
+_new = object.__new__
+_set_edges = Matching.edges.__set__
+_set_runners = Matching.runners.__set__
 
 
 @dataclass(frozen=True)
@@ -168,25 +173,28 @@ def _check_cap(ps: PointSet, kind: MatchKind, cap: Optional[int]) -> None:
 #: recording.
 _TAIL = range(3, 6)
 
+_DONE = ((0, 0),)  #: the tail of a finished state: one skeleton, adding nothing
 
-def _recorder(tail: list, base: int) -> Callable[[int, int], None]:
-    """A leaf that appends to `tail` the edges each skeleton adds to `base`,
-    with its runner bits.  (Made outside `_walk`: a lambda inside it would
-    make `edges` a cell variable of every walk frame, about 5% slower.)"""
-    add = tail.append
-    return lambda edges, runners: add((edges ^ base, runners))
+
+def _recorder(tail: list, base: int) -> Callable[[int, int, Sequence], None]:
+    """A leaf that extends `tail` by the edges each skeleton it is handed adds
+    to `base`, with its runner bits.  (Made outside `_walk`: a lambda inside
+    it would make `edges` a cell variable of every walk frame, about 5% slower.)"""
+    add = tail.extend
+    return lambda edges, runners, got: add([(edges ^ base | e, runners | r) for e, r in got])
 
 
 def _walk(
     tab: _Tables,
     kind: MatchKind,
-    leaf: Callable[[int, int], None],
+    leaf: Callable[[int, int, Sequence], None],
     used: int = 0,
     edges: int = 0,
     ok_edge: Optional[int] = None,
 ) -> None:
-    """Call ``leaf(edges, runners)``, bitmasks over edge ids and points, once
-    per skeleton of a matching of `kind`, in walk order.
+    """Hand the skeletons of the matchings of `kind` to ``leaf(edges, runners,
+    tail)`` in walk order, ``(edges | e, runners | r)`` for each ``(e, r)`` in
+    `tail`: bitmasks over edge ids and points.  A finished state passes `_DONE`.
 
     Each unused point, in x-order, is left free, made a runner, or matched to
     a later point.  A point that may be either free or a runner is marked
@@ -204,9 +212,8 @@ def _walk(
     over a later point nor cross a later edge (their x-spans are disjoint),
     and one that ends right of i passes over i, so the key also fixes
     ``used >> i``.  The first visit runs the branch body from the state into
-    a recording leaf, which keeps the edges and runner bits each completion
-    adds (states nested in it replay into the recorder); every visit then
-    calls the leaf once per recorded completion.  So each skeleton reaches
+    a `_recorder` (states nested in it replay into that); every visit then
+    hands the leaf the recorded tail in one call.  So each skeleton reaches
     the leaf once, in the same order.  The memo lives for one call.
     """
     n = tab.n
@@ -230,7 +237,7 @@ def _walk(
         while (used >> i) & 1:  # used has no bit at n or above
             i += 1
         if not left:
-            sink(edges, runners)
+            sink(edges, runners, _DONE)
             return
         if i >= half and left in _TAIL:
             key = (i, edges & span[i])
@@ -243,8 +250,7 @@ def _walk(
                 sink = out
                 memo[key] = tail
             if tail is not busy:
-                for e, r in tail:
-                    sink(edges | e, runners | r)
+                sink(edges, runners, tail)
                 return
         ubit = 1 << i
         left -= 1
@@ -284,23 +290,28 @@ class _Decoded(dict):
         return decoded
 
 
-def _skeletons(tab: _Tables, kind: MatchKind) -> dict[tuple[int, int], int]:
-    """(edge count, runner mask) -> number of walk leaves with them."""
+def _skeletons(tab: _Tables, kind: MatchKind) -> dict[tuple[int, int, int, int], int]:
+    """(edge count, forced runners, loose points, last point loose) -> number
+    of skeletons, folded from a tally by edge count and runner mask.  One with
+    b loose points stands for C(b, t) matchings with t of them runners."""
     tally: dict[tuple[int, int], int] = {}
 
-    def leaf(edges: int, runners: int) -> None:
-        key = (edges.bit_count(), runners)
-        tally[key] = tally.get(key, 0) + 1
+    def leaf(edges: int, runners: int, tail: Sequence) -> None:
+        count = edges.bit_count()
+        for e, r in tail:
+            key = (count + e.bit_count(), runners | r)
+            tally[key] = tally.get(key, 0) + 1
 
     _walk(tab, kind, leaf)
-    return tally
-
-
-def _runner_counts(mask: int, n: int) -> Iterator[tuple[int, int]]:
-    """(runner count, matchings) over the expansion of one skeleton's runner
-    mask: its forced runners plus any t of its b loose points, C(b, t) ways."""
-    r, b = (mask & ((1 << n) - 1)).bit_count(), (mask >> n).bit_count()
-    return ((r + t, comb(b, t)) for t in range(b + 1))
+    # no edge passes over the rightmost point, so when unmatched it is loose:
+    # its bit n + (n - 1) is the top bit of a runner mask
+    n = tab.n
+    low, top = (1 << n) - 1, max(2 * n - 1, 0)
+    shapes: dict[tuple[int, int, int, int], int] = {}
+    for (e, mask), cnt in tally.items():
+        key = (e, (mask & low).bit_count(), (mask >> n).bit_count(), mask >> top)
+        shapes[key] = shapes.get(key, 0) + cnt
+    return shapes
 
 
 def census(ps: PointSet, kind: MatchKind, cap: Optional[int] = None) -> MatchingCensus:
@@ -309,10 +320,10 @@ def census(ps: PointSet, kind: MatchKind, cap: Optional[int] = None) -> Matching
     tab = _tables(ps)
     n = tab.n
     by_free_and_runners: dict[tuple[int, int], int] = {}
-    for (e, mask), cnt in _skeletons(tab, kind).items():
-        for r, ways in _runner_counts(mask, n):
-            key = (n - 2 * e - r, r)
-            by_free_and_runners[key] = by_free_and_runners.get(key, 0) + ways * cnt
+    for (e, r, b, _), cnt in _skeletons(tab, kind).items():
+        for t in range(b + 1):
+            key = (n - 2 * e - r - t, r + t)
+            by_free_and_runners[key] = by_free_and_runners.get(key, 0) + comb(b, t) * cnt
     by_free: dict[int, int] = {}
     by_runners: dict[int, int] = {}
     for (f, r), cnt in by_free_and_runners.items():
@@ -339,19 +350,15 @@ def census_corner_split(
     without_mark[i] counts matchings with i runners, none on that point.
     """
     _check_cap(ps, MatchKind.RHO_DOWN_FREE, cap)
-    tab = _tables(ps)
-    n = tab.n
-    # no edge passes over the rightmost point, so when unmatched it is loose:
-    # its bit in a runner mask is n + (n - 1)
-    last = 1 << (2 * n - 1) if n else 0
     marked: dict[int, int] = {}
     unmarked: dict[int, int] = {}
-    for (_, mask), cnt in _skeletons(tab, MatchKind.RHO_DOWN_FREE).items():
-        split = mask & last  # a runner there or free there, same count each
-        for r, ways in _runner_counts(mask ^ split, n):
-            unmarked[r] = unmarked.get(r, 0) + ways * cnt
-            if split:
-                marked[r] = marked.get(r, 0) + ways * cnt
+    for (_, r, b, last), cnt in _skeletons(_tables(ps), MatchKind.RHO_DOWN_FREE).items():
+        b -= last  # a loose last point is a runner or free, same count each
+        for t in range(b + 1):
+            ways = comb(b, t) * cnt
+            unmarked[r + t] = unmarked.get(r + t, 0) + ways
+            if last:
+                marked[r + t] = marked.get(r + t, 0) + ways
     dense = lambda d: [d.get(i, 0) for i in range(max(d, default=0) + 1)]
     return dense(marked), dense(unmarked)
 
@@ -364,34 +371,48 @@ def matchings(
     A ``RHO_DOWN_FREE`` listing comes one skeleton at a time, every runner
     choice on its loose points together, so its order is not the order of
     a walk that branches at each loose point.  The other kinds have no loose
-    point and come in walk order.
+    point and come in walk order.  Each is built directly from its slots.
     """
     _check_cap(ps, kind, cap)
     tab = _tables(ps)
     n = tab.n
     low = (1 << n) - 1
-    # an edge mask is decoded in two halves of the edge ids: the tables of
-    # half masks stay small, where one of whole masks would miss on nearly
-    # every matching
+    # a state's edge mask is decoded in two halves of the edge ids: the tables
+    # of half masks stay small, where one of whole masks would miss on nearly
+    # every state; the edges a tail adds repeat, so they are decoded whole
     half = len(tab.pairs) // 2
     below = (1 << half) - 1
     lower, upper = _Decoded(tab.pairs[:half]), _Decoded(tab.pairs[half:])
+    added = _Decoded(tab.pairs)
     runner_sets = _Decoded(range(n))
+    none = runner_sets[0]
     found: list[Matching] = []
+    add = found.append
 
-    def leaf(e: int, r: int) -> None:
-        edges = lower[e & below] | upper[e >> half]
-        if r <= low:  # no loose point
-            found.append(Matching(edges, runner_sets[r]))
-            return
-        forced, loose, sub = r & low, r >> n, 0
-        while True:  # every subset of the loose points, as runners
-            found.append(Matching(edges, runner_sets[forced | sub]))
-            if sub == loose:
-                return
-            sub = (sub - loose) & loose
+    def plain(edges: int, runners: int, tail: Sequence) -> None:  # no runners
+        base = lower[edges & below] | upper[edges >> half]
+        for e, _ in tail:
+            m = _new(Matching)
+            _set_edges(m, base | added[e])
+            _set_runners(m, none)
+            add(m)
 
-    _walk(tab, kind, leaf)
+    def rho(edges: int, runners: int, tail: Sequence) -> None:
+        base = lower[edges & below] | upper[edges >> half]
+        for e, r in tail:
+            edge_set = base | added[e]
+            r |= runners
+            forced, loose, sub = r & low, r >> n, 0
+            while True:  # every subset of the loose points, as runners
+                m = _new(Matching)
+                _set_edges(m, edge_set)
+                _set_runners(m, runner_sets[forced | sub])
+                add(m)
+                if sub == loose:
+                    break
+                sub = (sub - loose) & loose
+
+    _walk(tab, kind, rho if kind is MatchKind.RHO_DOWN_FREE else plain)
     yield from found
 
 
@@ -485,10 +506,9 @@ def count_perfect_extensions(
     if allowed is not None:
         norm = {(min(i, j), max(i, j)) for i, j in allowed}
         ok_edge = sum(1 << e for e, pair in enumerate(tab.pairs) if pair in norm)
-
-    leaves = count()  # its next value is the number of leaves so far
-    _walk(tab, MatchKind.PERFECT, lambda edges, runners: next(leaves), used0, edges0, ok_edge)
-    return next(leaves)
+    sizes: list[int] = []  # of the tails handed to the leaf
+    _walk(tab, MatchKind.PERFECT, lambda e, r, tail: sizes.append(len(tail)), used0, edges0, ok_edge)
+    return sum(sizes)
 
 
 def count_cross_completions(

@@ -1,8 +1,12 @@
 import copy
+import dataclasses
+import inspect
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, count
+from math import comb
 
 import pytest
 
@@ -233,16 +237,13 @@ class TestPredicates:
     def test_rho_down_free_walk_has_one_leaf_per_skeleton(self):
         # each point no edge passes over is marked loose, not branched on:
         # a walk with one leaf per matching has 170,573 leaves here
-        leaves = count()
-        _walk(_tables(make_zigzag(12)), MatchKind.RHO_DOWN_FREE, lambda edges, runners: next(leaves))
-        assert next(leaves) == 20_229
+        assert len(_leaf_calls(_walk, make_zigzag(12), MatchKind.RHO_DOWN_FREE)) == 20_229
 
     @pytest.mark.parametrize("kind", [k for k in MatchKind if k is not MatchKind.RHO_DOWN_FREE])
     def test_listing_without_loose_points_is_in_walk_order(self, kind):
         ps = make_zigzag(8, Parity.EVEN)
         tab = _tables(ps)
-        leaves = []
-        _walk(tab, kind, lambda edges, runners: leaves.append((edges, runners)))
+        leaves = _leaf_calls(_walk, ps, kind)
         assert all(runners == 0 for _, runners in leaves)
         edge_sets = [frozenset(p for k, p in enumerate(tab.pairs) if edges >> k & 1) for edges, _ in leaves]
         assert list(matchings(ps, kind)) == [Matching(e) for e in edge_sets]
@@ -268,18 +269,15 @@ class TestPredicates:
         tab = _tables(ps)
         n = tab.n
         want = []
-
-        def leaf(edges, runners):
+        for edges, runners in _leaf_calls(_walk, ps, kind):
             edge_set = frozenset(p for k, p in enumerate(tab.pairs) if edges >> k & 1)
             forced, loose, sub = runners & ((1 << n) - 1), runners >> n, 0
             while True:
                 chosen = forced | sub
                 want.append(Matching(edge_set, frozenset(i for i in range(n) if chosen >> i & 1)))
                 if sub == loose:
-                    return
+                    break
                 sub = (sub - loose) & loose
-
-        _walk(tab, kind, leaf)
         assert list(matchings(ps, kind)) == want
 
     def test_lister_agrees_with_census(self):
@@ -386,6 +384,13 @@ def test_extension_counter_respects_fixed_edges():
     fixed = Matching(frozenset({(0, 5)}))
     # edge over everything: remaining points must match under it
     assert count_perfect_extensions(ps, fixed) == catalan(2)
+
+
+@pytest.mark.parametrize("ps", [make_zigzag(12), make_rchain(3, 3, corners=True), double_zigzag(12).points],
+                         ids=lambda ps: ps.label)
+def test_extension_counter_from_nothing_counts_perfect_matchings(ps):
+    # replayed tails count as many skeletons as they hold
+    assert count_perfect_extensions(ps, Matching(frozenset())) == census(ps, MatchKind.PERFECT).total > 1
 
 
 def test_extension_counter_refuses_runners():
@@ -516,8 +521,15 @@ def _reference_walk(tab, kind, leaf, used=0, edges=0, ok_edge=None):
 
 
 def _leaf_calls(walk, ps, kind, **start):
+    """The skeletons `walk` hands its leaf, in order, one (edges, runners)
+    pair each: `_walk`'s tail calls are expanded, `_reference_walk` makes
+    one call per skeleton."""
     calls = []
-    walk(_tables(ps), kind, lambda edges, runners: calls.append((edges, runners)), **start)
+    if walk is _reference_walk:
+        walk(_tables(ps), kind, lambda edges, runners: calls.append((edges, runners)), **start)
+    else:
+        walk(_tables(ps), kind, lambda edges, runners, tail: calls.extend(
+            (edges | e, runners | r) for e, r in tail), **start)
     return calls
 
 
@@ -532,6 +544,62 @@ def _fixed_start(tab, fixed, allowed=None):
     return start
 
 
+_FAMILY_SETS = [
+    make_rchain(3, 3, corners=True),
+    make_rchain(3, 3, corners=False),
+    make_rchain(2, 5, corners=True),
+    make_rchain(4, 2, corners=False),
+    make_chain(11, Direction.UPWARD),
+    double_chain(12).points,
+    double_zigzag(12).points,
+]
+
+
+def _random_sets():
+    rng = random.Random(2424)
+    for n in [*range(11)] * 3 + [10, 10]:
+        yield _random_general_position(rng, n) if n else PointSet(())
+
+
+def _runner_counts(mask, n):
+    """(runner count, matchings) over the expansion of one skeleton's runner
+    mask: its forced runners plus any t of its b loose points, C(b, t) ways."""
+    r, b = (mask & ((1 << n) - 1)).bit_count(), (mask >> n).bit_count()
+    return ((r + t, comb(b, t)) for t in range(b + 1))
+
+
+def _reference_counts(ps, kind):
+    """census(ps, kind).by_free_and_runners and census_corner_split(ps), from
+    the plain walk with each skeleton's runner mask expanded on its own."""
+    tab = _tables(ps)
+    n = tab.n
+    last = 1 << (2 * n - 1) if n else 0
+    by_free_and_runners, marked, unmarked = Counter(), Counter(), Counter()
+
+    def leaf(edges, runners):
+        for r, ways in _runner_counts(runners, n):
+            by_free_and_runners[n - 2 * edges.bit_count() - r, r] += ways
+        split = runners & last
+        for r, ways in _runner_counts(runners ^ split, n):
+            unmarked[r] += ways
+            if split:
+                marked[r] += ways
+
+    _reference_walk(tab, kind, leaf)
+    dense = lambda c: [c[i] for i in range(max(c, default=0) + 1)]
+    return dict(by_free_and_runners), (dense(marked), dense(unmarked))
+
+
+def _assert_counts_match_reference(ps, kind):
+    by_free_and_runners, split = _reference_counts(ps, kind)
+    got = census(ps, kind)
+    assert got.by_free_and_runners == by_free_and_runners, ps.points
+    assert got.total == sum(by_free_and_runners.values())
+    assert sum(got.by_free.values()) == sum(got.by_runners.values()) == got.total
+    if kind is MatchKind.RHO_DOWN_FREE:
+        assert census_corner_split(ps) == split, ps.points
+
+
 class TestTailMemo:
     """The memoized walk calls its leaf exactly as the plain walk does."""
 
@@ -542,27 +610,13 @@ class TestTailMemo:
         ps = make_zigzag(n, parity)
         assert _leaf_calls(_walk, ps, kind) == _leaf_calls(_reference_walk, ps, kind)
 
-    @pytest.mark.parametrize(
-        "ps",
-        [
-            make_rchain(3, 3, corners=True),
-            make_rchain(3, 3, corners=False),
-            make_rchain(2, 5, corners=True),
-            make_rchain(4, 2, corners=False),
-            make_chain(11, Direction.UPWARD),
-            double_chain(12).points,
-            double_zigzag(12).points,
-        ],
-        ids=lambda ps: ps.label,
-    )
+    @pytest.mark.parametrize("ps", _FAMILY_SETS, ids=lambda ps: ps.label)
     @pytest.mark.parametrize("kind", list(MatchKind))
     def test_family_sets(self, kind, ps):
         assert _leaf_calls(_walk, ps, kind) == _leaf_calls(_reference_walk, ps, kind)
 
     def test_random_sets(self):
-        rng = random.Random(2424)
-        for n in [*range(11)] * 3 + [10, 10]:
-            ps = _random_general_position(rng, n) if n else PointSet(())
+        for ps in _random_sets():
             for kind in MatchKind:
                 assert _leaf_calls(_walk, ps, kind) == _leaf_calls(_reference_walk, ps, kind), ps.points
 
@@ -602,7 +656,7 @@ class TestTailMemo:
                     )
 
     def test_tails_are_recorded_and_replayed(self, monkeypatch):
-        # 561 tails recorded for 23,007 leaves at the time of writing
+        # 561 tails recorded for 23,007 skeletons at the time of writing
         recorded = count()
         record = oracle._recorder
 
@@ -615,6 +669,39 @@ class TestTailMemo:
         assert calls == _leaf_calls(_reference_walk, make_zigzag(12), MatchKind.ALL)
         assert 0 < next(recorded) < len(calls) // 20
 
+    def test_a_memo_hit_is_one_leaf_call(self):
+        sizes = []
+        _walk(_tables(make_zigzag(12)), MatchKind.ALL, lambda edges, runners, tail: sizes.append(len(tail)))
+        assert sum(sizes) == 23_007
+        assert len(sizes) <= 23_007 // 3
+
+    @pytest.mark.parametrize("kind", list(MatchKind))
+    def test_finished_states_share_one_tail(self, kind):
+        # no state of four points is memoized: one call per finished state
+        tails = []
+        _walk(_tables(make_zigzag(4)), kind, lambda edges, runners, tail: tails.append(tail))
+        assert tails and all(tail is oracle._DONE for tail in tails)
+        # twelve points: a finished state's tail or a recorded one
+        tails.clear()
+        _walk(_tables(make_zigzag(12)), kind, lambda edges, runners, tail: tails.append(tail))
+        assert all(tail is oracle._DONE or type(tail) is list for tail in tails)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("kind", list(MatchKind))
+    def test_zigzag_counts(self, kind, n, parity):
+        _assert_counts_match_reference(make_zigzag(n, parity), kind)
+
+    @pytest.mark.parametrize("ps", _FAMILY_SETS, ids=lambda ps: ps.label)
+    @pytest.mark.parametrize("kind", list(MatchKind))
+    def test_family_set_counts(self, kind, ps):
+        _assert_counts_match_reference(ps, kind)
+
+    def test_random_set_counts(self):
+        for ps in _random_sets():
+            for kind in MatchKind:
+                _assert_counts_match_reference(ps, kind)
+
     def test_odd_perfect_walk_takes_no_step(self):
         # each edge uses two points, so an odd count of unused points ends
         # the walk before its first step
@@ -625,5 +712,51 @@ class TestTailMemo:
         for n in (3, 7, 11):
             tab = copy.copy(_tables(make_zigzag(n)))
             tab.moves = Untouchable()
-            _walk(tab, MatchKind.PERFECT, lambda edges, runners: pytest.fail("leaf called"))
+            _walk(tab, MatchKind.PERFECT, lambda edges, runners, tail: pytest.fail("leaf called"))
         assert count_perfect_extensions(make_chain(7), Matching(frozenset({(0, 2)}))) == 0
+
+
+class TestListedMatchings:
+    """The lister fills Matching's slots directly; the result behaves as one
+    made by the constructor."""
+
+    def test_listed_equals_and_hashes_like_constructed(self):
+        ps = make_rchain(3, 2, corners=True)
+        for kind in MatchKind:
+            for m in matchings(ps, kind):
+                built = Matching(frozenset(m.edges), frozenset(m.runners))
+                assert type(m) is Matching
+                assert m == built and hash(m) == hash(built) and repr(m) == repr(built)
+
+    def test_fields_and_repr(self):
+        assert [f.name for f in dataclasses.fields(Matching)] == ["edges", "runners"]
+        assert Matching(frozenset({(0, 1)})).runners == frozenset()
+        assert repr(Matching(frozenset({(0, 1)}), frozenset({2}))) == (
+            "Matching(edges=frozenset({(0, 1)}), runners=frozenset({2}))"
+        )
+
+    def test_copies_survive(self):
+        listed = [m for m in matchings(make_zigzag(7), MatchKind.RHO_DOWN_FREE) if m.edges and m.runners]
+        m = listed[0]
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m)), dataclasses.replace(m)):
+            assert type(twin) is Matching
+            assert twin == m and hash(twin) == hash(m)
+            assert (twin.edges, twin.runners) == (m.edges, m.runners)
+        assert dataclasses.replace(m, runners=frozenset()) == Matching(m.edges)
+
+    def test_assignment_is_refused(self):
+        m = next(matchings(make_zigzag(4), MatchKind.ALL))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.edges = frozenset()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.runners = frozenset({0})
+        # a name that is not a field: Python 3.11's frozen __setattr__ of a
+        # slotted dataclass raises TypeError from its super() call here
+        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+            m.extra = 1
+        assert not hasattr(m, "__dict__")
+
+    def test_matchings_is_a_generator_function(self):
+        # the bench tracer counts the items of a generator function as they
+        # are yielded, and calls any other function once
+        assert inspect.isgeneratorfunction(matchings)
