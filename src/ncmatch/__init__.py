@@ -55,6 +55,7 @@ from .zigzag import (
 )
 from .chains import (
     BandMatrix,
+    ChainOperator,
     arc_count,
     best_arc_size,
     excursion_moments,
@@ -66,7 +67,6 @@ from .chains import (
 )
 from .corners import (
     CornerCoefficients,
-    CoupledSystem,
     chain_counts,
     condensed_table,
     corner_coefficients,

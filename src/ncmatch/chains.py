@@ -30,9 +30,9 @@ defines the tails of each kind once; ``corners`` and ``doubling`` read them.
 The left edge is data.  Row i's window stops at i + j, so entry (i, j) is
 the stabilized diagonal value at offset i - j minus the one at i + j + 2,
 the offset of row i from the image -j - 2 of column j: a Toeplitz band on
-the vector read as 0 outside its support, minus a Hankel block.  The
-banded kernel ``_banded_step`` applies both, from bands and image windows
-given as data, to this recursion and to the coupled one of ``corners``.
+the vector read as 0 outside its support, minus a Hankel block.  One
+value, ``ChainOperator(r, bands, windows)``, holds both, with one state
+here and two (C, F) in ``corners``; its ``step`` is one banded kernel call.
 ``BandMatrix.apply`` stays an entry-by-entry evaluation, a second route
 that the tests compare the kernel against.  One driver, ``_light_cone``,
 steps this recursion and the coupled one of ``corners``; the series and
@@ -202,21 +202,19 @@ def runner_step(vec: Sequence[int], r: int) -> list[int]:
 
     Row i sums the parity window |i-j| <= beta <= min(r, i+j) of the arc
     counts: the full window w[|i - j|] minus its image w[i + j + 2].  So the
-    step is one kernel call with the band w[|q|], q = -r..r, and the image
-    windows w.
+    step is one step of the one-state operator ``_runner_operator(r)``.
     """
-    if r < 1:
-        raise ValueError("r must be positive")
-    band = _runner_band(r)
-    return _banded_step((vec,), ((band,),), ((band[r:],),))[0]
+    return _runner_operator(r).step((vec,))[0]
 
 
 @lru_cache(maxsize=None)
-def _runner_band(r: int) -> tuple[int, ...]:
-    """The stabilized band at offsets -r..r: the full parity windows w[|q|]
-    of the arc counts, so that band[r:] = w are the image windows too."""
-    windows = tuple(_parity_windows(_arc_counts_cached(r)))
-    return windows[:0:-1] + windows
+def _runner_operator(r: int) -> ChainOperator:
+    """The one-state operator: the band w[|q|] at offsets -r..r, w the full
+    parity windows of the arc counts, which are the image windows too."""
+    if r < 1:
+        raise ValueError("r must be positive")
+    w = tuple(_parity_windows(_arc_counts_cached(r)))
+    return ChainOperator(r, ((w[:0:-1] + w,),), ((w,),))
 
 
 def _parity_windows(row: Sequence[int]) -> list[int]:
@@ -225,6 +223,38 @@ def _parity_windows(row: Sequence[int]) -> list[int]:
     for q in range(len(row) - 1, -1, -1):
         out[q] += out[q + 2]
     return out[: len(row)]
+
+
+@dataclass(frozen=True)
+class ChainOperator:
+    """The true step of a chain recursion as data, one state without
+    corners and two (C, F) with them: ``bands[x][y][beta + r]`` is the
+    stabilized response of an x-state at offset beta to a unit y-state, and
+    ``windows[x][y]`` the image windows that the head rows subtract."""
+
+    r: int
+    bands: tuple[tuple[tuple[int, ...], ...], ...]
+    windows: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def step(self, states: Sequence[Sequence[int]], rows: int | None = None) -> list[list[int]]:
+        """One exact step of all states, rows 0..size-1 (``_banded_step``)."""
+        return _banded_step(states, self.bands, self.windows, rows)
+
+    @property
+    def condensed(self) -> tuple[tuple[int, ...], ...]:
+        """Band sums, ((CC, CF), (FC, FF)) with corners."""
+        return tuple(tuple(map(sum, row)) for row in self.bands)
+
+    @property
+    def jumps(self) -> tuple[tuple[int, ...], ...]:
+        """Total jump sizes sum_beta beta * band[beta], laid out like ``condensed``."""
+        betas = range(-self.r, self.r + 1)
+        return tuple(tuple(sum(map(mul, betas, band)) for band in row) for row in self.bands)
+
+    @property
+    def positive_core(self) -> bool:
+        """All bands positive at offsets -1, 0, 1, as the growth bound assumes."""
+        return all(band[self.r + q] > 0 for row in self.bands for band in row for q in (-1, 0, 1))
 
 
 # Lazy map terms summed between two materializations of the running sum.  A
@@ -286,9 +316,7 @@ def excursion_moments(r: int) -> tuple[int, Fraction]:
     growth factor and sigma^2 = sum beta^2 w_beta / lambda is the variance
     of the weighted steps.
     """
-    if r < 1:
-        raise ValueError("r must be positive")
-    band = _runner_band(r)
+    band = _runner_operator(r).bands[0][0]
     assert band == band[::-1], "the stabilized band must be palindromic"
     lam = sum(band)
     return lam, Fraction(sum(beta * beta * w for beta, w in enumerate(band, -r)), lam)

@@ -38,8 +38,8 @@ each runner group must match to; window sums over alpha carry the same
 |i-j| <= alpha <= i+j parity constraint as the corner-free recursion.
 
 The jumps and their multiplicities depend on r and the kind alone, so the
-recursion is keyed by (r, kind): families, window sums and band are built
-once per key and cached.
+recursion is keyed by (r, kind): families, window sums and the two-state
+``chains.ChainOperator`` are built once per key and cached.
 The index bounds only bite near the start of the vectors, and there only the
 window's upper end i + j does: as in ``chains``, a cut window is the full
 window from |i - j| minus its image, the full window from i + j + 2.  So a
@@ -47,20 +47,16 @@ step is the Toeplitz band applied to the states read as 0 outside their
 support, minus a Hankel head block: row i < r - 2 subtracts the sum over
 j < r - 2 - i of window[i + j + 2] * vec[j], with the parity windows of the
 coupled families laid out ``[x][y]`` over the states like the bands.  One
-call of the shared banded kernel of ``chains`` applies both.  The band
-coefficients are read by ``extract_band``, which probes the six sums
-themselves (``_exact_rows``), their only reader outside the tests: the sums
-are the definition, evaluated column by column over the nonzero inputs only,
-so a unit probe costs O(r), and the tests check on random vectors that the
-kernel with the image correction equals them on every row.
+step of the operator applies both.  ``extract_band`` returns the operator,
+its bands probed from the six sums themselves (``_exact_rows``), the
+definition, which the tests check the step against on every row.
 
 For analysis the recursion is condensed: away from small indices it is a
 2x2 array over the states (C, F) of bands ``bands[x][y][beta + r]``
-(response of an x-state at offset beta to a unit y-state), the layout the
-banded kernel reads.  Their sums (the condensed matrix) and total jump
-sizes sum_beta beta * bands[x][y][beta + r] feed the spectral machinery.
-The per-point growth rate of the chain is the r-th root of the condensed
-matrix's dominant eigenvalue.
+(response of an x-state at offset beta to a unit y-state).  Their sums (the
+condensed matrix) and total jump sizes sum_beta beta * bands[x][y][beta + r]
+feed the spectral machinery.  The per-point growth rate of the chain is the
+r-th root of the condensed matrix's dominant eigenvalue.
 """
 
 from __future__ import annotations
@@ -71,7 +67,7 @@ from math import comb
 from operator import mul, sub
 from typing import Literal, Sequence, get_args
 
-from .chains import _banded_step, _light_cone, _parity_windows, _tails
+from .chains import ChainOperator, _light_cone, _parity_windows, _tails
 from .quadfield import QuadNumber
 
 Kind = Literal["down-free", "all"]
@@ -109,17 +105,16 @@ def coupled_step(
 ) -> tuple[list[int], list[int]]:
     """One step of the r-chain's coupled recursion, attaching an r-point arc.
 
-    One call of the banded kernel of ``chains`` on ``_step_data(r, kind)``:
-    the stabilized band of ``extract_band`` on every row, minus the image
-    windows of ``_head_tables`` in the head rows i < r - 2.  The result
-    equals the six contribution sums of ``_exact_rows`` on every row.  The
-    states may differ in length; with ``rows`` only the first ``rows``
-    entries are computed.  Trailing entries that are zero in both states
-    are dropped.
+    One step of ``_coupled_operator(r, kind)``, the operator that
+    ``extract_band`` returns: the stabilized band on every row minus the
+    image windows in the head rows i < r - 2, equal to the six contribution
+    sums of ``_exact_rows`` on every row.  The states may differ in length;
+    with ``rows`` only the first ``rows`` entries are computed.  Trailing
+    entries that are zero in both states are dropped.
     """
     if rows is not None and rows < 0:
         raise ValueError("rows must be nonnegative")
-    c_new, f_new = _banded_step((c_prev, f_prev), *_step_data(r, kind), rows)
+    c_new, f_new = _coupled_operator(r, kind).step((c_prev, f_prev), rows)
     while len(c_new) > 1 and c_new[-1] == 0 and f_new[-1] == 0:
         c_new.pop()
         f_new.pop()
@@ -127,11 +122,9 @@ def coupled_step(
 
 
 @lru_cache(maxsize=None)
-def _step_data(r: int, kind: Kind) -> tuple[tuple, tuple]:
-    """(bands, windows) of the true step, read once per (r, kind): the bands
-    of extract_band(r, kind=kind), which refuses r < 1 and an unknown kind,
-    and the image windows of _head_tables."""
-    return extract_band(r, kind=kind).bands, _head_tables(r, kind)[1]
+def _coupled_operator(r: int, kind: Kind) -> ChainOperator:
+    """extract_band(r, kind=kind), probed once per (r, kind)."""
+    return extract_band(r, kind=kind)
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +135,7 @@ def _head_tables(r: int, kind: Kind) -> tuple[tuple, tuple]:
     and no_corner answer C and F inputs in C rows, both_in and right_in in
     F rows."""
     c = corner_coefficients(r, kind)
-    z, i, w, u = map(_parity_windows, (c.no_corner, c.left_in, c.right_in, c.both_in))
+    z, i, w, u = (tuple(_parity_windows(f)) for f in (c.no_corner, c.left_in, c.right_in, c.both_in))
     return (c.no_corner, c.left_in, c.right_in), ((i, z), (u, w))
 
 
@@ -210,9 +203,9 @@ def chain_counts(r: int, kmax: int) -> list[int]:
 
 def _coupled_cone(r: int, kmax: int, heads: int | None = None, kind: Kind = "down-free"):
     """The states (C[k], F[k]) of ``chains._light_cone`` from C[0] = F[0] =
-    [1].  The band is read before the first state, so r < 1 and an unknown
-    kind are refused at the call, kmax = 0 included."""
-    _step_data(r, kind)
+    [1].  The operator is built before the first state, so r < 1 and an
+    unknown kind are refused at the call, kmax = 0 included."""
+    _coupled_operator(r, kind)
     return _light_cone(
         lambda state, rows: coupled_step(*state, r, rows=rows, kind=kind), ([1], [1]), r, kmax, heads
     )
@@ -223,53 +216,24 @@ def _coupled_cone(r: int, kmax: int, heads: int | None = None, kind: Kind = "dow
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoupledSystem:
-    """Stabilized band coefficients; the condensed summaries derive from them.
-
-    ``bands[x][y][beta + r]``, x and y over the states (C, F), is the
-    response of an x-state at offset beta to a unit y-state.
-    """
-
-    r: int
-    bands: tuple[tuple[tuple[int, ...], ...], ...]
-
-    @property
-    def condensed(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Band sums ((CC, CF), (FC, FF))."""
-        return tuple(tuple(map(sum, row)) for row in self.bands)
-
-    @property
-    def jumps(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Total jump sizes sum_beta beta * band[beta], laid out like ``condensed``."""
-        betas = range(-self.r, self.r + 1)
-        return tuple(tuple(sum(map(mul, betas, band)) for band in row) for row in self.bands)
-
-    @property
-    def positive_core(self) -> bool:
-        """All four bands positive at offsets -1, 0, 1, as the growth bound assumes."""
-        r = self.r
-        return all(band[r + beta] > 0 for row in self.bands for band in row for beta in (-1, 0, 1))
-
-
-def extract_band(r: int, probe: int | None = None, *, kind: Kind = "down-free") -> CoupledSystem:
-    """Read the stabilized band coefficients off the recursion itself.
+def extract_band(r: int, probe: int | None = None, *, kind: Kind = "down-free") -> ChainOperator:
+    """The two-state operator of the coupled recursion, with its stabilized
+    band coefficients read off the recursion itself.
 
     A unit state at a probe index deep in the stabilized region (default
     2r + 2) is pushed through one step of the six contribution sums, which
     visit only the nonzero inputs, so a probe costs O(r); the responses at
     offsets -r..r are the band coefficients.  Probing the linear map avoids
     transcribing 4(2r+1) closed forms by hand.  The band support
-    |beta| <= r is verified.
+    |beta| <= r is verified.  The image windows are the families' parity
+    windows of ``_head_tables``.
     """
     if r < 1:
         raise ValueError("r must be positive")
     i0 = probe if probe is not None else 2 * r + 2
     if i0 < 2 * r:
         raise ValueError("probe index must sit in the stabilized region")
-    unit = [0] * (i0 + 1)
-    unit[i0] = 1
-    zero = [0] * (i0 + 1)
+    zero, unit = [0] * (i0 + 1), [0] * i0 + [1]
     size = i0 + 1 + r
     # responses[y][x]: the x-state rows after a unit y-state
     responses = (_exact_rows(unit, zero, r, size, kind), _exact_rows(zero, unit, r, size, kind))
@@ -279,7 +243,8 @@ def extract_band(r: int, probe: int | None = None, *, kind: Kind = "down-free") 
             raise AssertionError(f"response outside bandwidth |beta| <= {r}")
         return tuple(resp[i0 + r : i0 - r - 1 : -1])
 
-    return CoupledSystem(r, tuple(tuple(map(band_of, row)) for row in zip(*responses)))
+    bands = tuple(tuple(map(band_of, row)) for row in zip(*responses))
+    return ChainOperator(r, bands, _head_tables(r, kind)[1])
 
 
 def dominant_eigenvalue(condensed) -> QuadNumber:
@@ -291,9 +256,5 @@ def dominant_eigenvalue(condensed) -> QuadNumber:
 
 def condensed_table(rmax: int) -> list[tuple[int, tuple, float]]:
     """(r, condensed matrix, per-point growth rate) for r = 1..rmax."""
-    out = []
-    for r in range(1, rmax + 1):
-        sys = extract_band(r)
-        rate = dominant_eigenvalue(sys.condensed).root_float(r)
-        out.append((r, sys.condensed, rate))
-    return out
+    rows = [(r, extract_band(r).condensed) for r in range(1, rmax + 1)]
+    return [(r, cond, dominant_eigenvalue(cond).root_float(r)) for r, cond in rows]

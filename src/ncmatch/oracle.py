@@ -540,6 +540,16 @@ def complete_to_perfect(
     (a, b) of its half, "a < p < b" and "p is left of the line a -> b" hold
     in the union exactly when they hold in the half (the same points in the
     same x-order), so no table of a half is built.
+
+    On a high-above double (``geometry.is_high_above``, as every
+    ``make_double`` output is) the crossing test subsumes the freeness test.
+    Take a free upper point p above an upper edge ab, a < p < b, joined to
+    a lower point q.  High-above puts q strictly below the line ab, so pq
+    meets that line.  Inside the segment ab, pq crosses ab.  Past b, the
+    line lies strictly above the upper chord pb (a lies below it), and so
+    does q, on the ray from p through the meeting point; past a, q lies
+    above ap.  High-above forbids both.  The mirror argument covers the
+    lower half.  Other doubles can tell the tests apart, so both stay.
     """
     if m_upper.runners or m_lower.runners:
         raise ValueError("completion is defined for runner-free matchings")

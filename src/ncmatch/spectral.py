@@ -7,9 +7,9 @@ Pipeline, all in one quadratic field Q(sqrt(disc)):
 2. ``weighted_drift``: the eigenvector-weighted total jump size; zero drift
    is the hypothesis that the runner count performs an unbiased walk.
 3. ``rescale``: the similarity bands[x][y] * l_x / l_y by the left
-   eigenvector l, on the 2x2 band layout ``bands[x][y]`` of
-   ``CoupledSystem``, so both condensed column sums become exactly M
-   (left eigenvector (1,1)).
+   eigenvector l, on the 2x2 band layout ``bands[x][y]`` of the two-state
+   ``ChainOperator`` of ``extract_band``, so both condensed column sums
+   become exactly M (left eigenvector (1,1)).
 4. ``shift_constant``: the horizontal offset delta between the two quadratic
    profiles.  A band meets a profile only through its moments s0, s1, s2
    (``_add_moments``): a row's band sum at i is p s0 - s0 i^2 - 2 s1 i - s2.
@@ -54,7 +54,8 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Optional, Sequence
 
-from .corners import CoupledSystem, dominant_eigenvalue
+from .chains import ChainOperator
+from .corners import dominant_eigenvalue
 from .quadfield import QuadNumber, _cleared, _make, _sign
 
 _Q = QuadNumber.from_rational
@@ -95,7 +96,7 @@ def _check_eigen(mat, m, left, right) -> None:
     assert rx * a + ry * b == m * rx and rx * c + ry * e == m * ry
 
 
-def weighted_drift(sys: CoupledSystem) -> QuadNumber:
+def weighted_drift(sys: ChainOperator) -> QuadNumber:
     """Eigenvector-weighted total jump size of the coupled system."""
     eig = eigen_data(sys.condensed)
     terms = (lx * ry * d for lx, row in zip(eig.left, sys.jumps) for ry, d in zip(eig.right, row))
@@ -106,7 +107,7 @@ def weighted_drift(sys: CoupledSystem) -> QuadNumber:
 class RescaledSystem:
     """Coupled band coefficients rescaled to constant column sums M.
 
-    ``bands[x][y]`` is the QuadNumber band of ``CoupledSystem.bands[x][y]``
+    ``bands[x][y]`` is the QuadNumber band of ``ChainOperator.bands[x][y]``
     times l_x / l_y, indexed beta = -r..r (offset by r); ``pi`` is the
     sum-normalized right eigenvector of the rescaled condensed matrix, and
     the left eigenvector is (1, 1) by construction.
@@ -121,7 +122,7 @@ class RescaledSystem:
         return tuple(sum((v for band in col for v in band), _Q(0)) for col in zip(*self.bands))
 
 
-def rescale(sys: CoupledSystem) -> RescaledSystem:
+def rescale(sys: ChainOperator) -> RescaledSystem:
     """The similarity bands[x][y] * l_x / l_y by the left eigenvector l.
 
     Each cross ratio is computed once and the diagonal bands stay unscaled.

@@ -9,7 +9,7 @@ from ncmatch.chains import (
     _banded_step,
     _growth_factors,
     _parity_windows,
-    _runner_band,
+    _runner_operator,
     arc_count,
     best_arc_size,
     excursion_moments,
@@ -147,7 +147,7 @@ class TestRunnerRecursion:
         # with P(u) = sum of band[beta] u^beta over beta = -r..r, entry i of
         # v_k is [u^i] P^k - [u^(i+2)] P^k: the band walks from 0 that end
         # at i, less those that end at the image i + 2 (ballot problem)
-        band = _runner_band(r)
+        band = _runner_operator(r).bands[0][0]
         power = [1]  # coefficients of P^k at u^-rk .. u^rk
         for k, vec in enumerate(runner_series(r, 40)):
             if k:
@@ -196,7 +196,7 @@ class TestBandedKernel:
         for i in range(3 * r + 3):
             for j in range(3 * r + 3):
                 assert mat.entry(i, j) == mat.diagonal_value(i - j) - mat.diagonal_value(i + j + 2)
-        assert _runner_band(r)[r:] == tuple(mat.diagonal_value(q) for q in range(r + 1))
+        assert _runner_operator(r).bands[0][0][r:] == tuple(mat.diagonal_value(q) for q in range(r + 1))
 
     def test_parity_windows_are_slice_sums(self):
         rng = random.Random(7)
@@ -225,6 +225,8 @@ class TestBandedKernel:
                 runner_series(r, k)
         with pytest.raises(ValueError, match="r must be positive"):
             runner_step([1], r)
+        with pytest.raises(ValueError, match="r must be positive"):
+            excursion_moments(r)
         # a band matrix of r < 1 would apply as an empty or identity step
         for stabilized in (False, True):
             with pytest.raises(ValueError, match="r must be positive"):

@@ -3,11 +3,11 @@ from math import comb
 
 import pytest
 
-from ncmatch.chains import runner_counts, runner_series
+from ncmatch.chains import ChainOperator, runner_counts, runner_series
 from ncmatch.corners import (
     _coupled_cone,
+    _coupled_operator,
     _exact_rows,
-    _step_data,
     chain_counts,
     condensed_table,
     corner_coefficients,
@@ -232,7 +232,7 @@ class TestBandedKernel:
             return real(r, probe, kind=kind)
 
         monkeypatch.setattr(corners, "extract_band", probe_once)
-        corners._step_data.cache_clear()
+        _coupled_operator.cache_clear()
         try:
             coupled_series(4, 10)
             chain_counts(4, 10)
@@ -240,7 +240,7 @@ class TestBandedKernel:
             for _ in range(10):
                 state = coupled_step(*state, 4, kind="all")
         finally:
-            corners._step_data.cache_clear()
+            _coupled_operator.cache_clear()
         assert calls == [(4, "down-free"), (4, "all")]
 
     def test_step_reads_the_system_bands_unrepacked(self, monkeypatch):
@@ -252,15 +252,29 @@ class TestBandedKernel:
         def probe(r, probe=None, *, kind="down-free"):
             return probed.setdefault((r, kind), real(r, probe, kind=kind))
 
+        stepped = []
+        real_step = ChainOperator.step
+
+        def step(op, states, rows=None):
+            stepped.append(op)
+            return real_step(op, states, rows)
+
         monkeypatch.setattr(corners, "extract_band", probe)
-        corners._step_data.cache_clear()
+        monkeypatch.setattr(ChainOperator, "step", step)
+        _coupled_operator.cache_clear()
         try:
             for kind in KINDS:
                 for r in range(1, 13):
-                    assert corners._step_data(r, kind)[0] is probed[r, kind].bands
+                    want = _trimmed(*_exact_rows([1], [1], r, r + 1, kind))
+                    assert coupled_step([1], [1], r, kind=kind) == want
+                    # the step ran on the very object the probe returned,
+                    # bands and image windows unrepacked
+                    assert stepped[-1] is probed[r, kind]
+                    assert _coupled_operator(r, kind) is probed[r, kind]
+                    assert probed[r, kind] == real(r, kind=kind)
                     assert probed[r, kind].bands == real(r, kind=kind).bands
         finally:
-            corners._step_data.cache_clear()
+            _coupled_operator.cache_clear()
 
     @pytest.mark.parametrize("r", range(1, 13))
     def test_light_cone_counts_equal_full_series(self, r):
@@ -351,10 +365,11 @@ class TestExactRowsAgainstReference:
         # row i's response to a unit at j is the stabilized band at offset
         # j - i minus the window of the coupled family from i + j + 2
         coeffs = corner_coefficients(r, kind)
-        bands = extract_band(r, kind=kind).bands
+        operator = extract_band(r, kind=kind)
+        bands = operator.bands
         families = ((coeffs.left_in, coeffs.no_corner), (coeffs.both_in, coeffs.right_in))
         # the kernel's image windows are these families' windows, [x][y]
-        windows = _step_data(r, kind)[1]
+        windows = operator.windows
         for x in range(2):
             for y in range(2):
                 assert list(windows[x][y]) == [sum(families[x][y][q::2]) for q in range(r)]

@@ -13,11 +13,13 @@ import pytest
 from ncmatch.doubling import catalan, motzkin
 from ncmatch.geometry import (
     Direction,
+    DoubleSet,
     Orientation,
     Parity,
     PointSet,
     double_chain,
     double_zigzag,
+    is_high_above,
     make_chain,
     make_rchain,
     make_zigzag,
@@ -349,6 +351,18 @@ class TestCompletion:
         with pytest.raises(ValueError, match="leaves its half"):
             complete_to_perfect(d, across, Matching(frozenset()))
 
+    def test_freeness_and_crossing_differ_off_high_above(self):
+        # the free upper point 2 sits above the upper edge (1, 3), and the
+        # completion edge (0, 2) meets that edge's line left of point 1: the
+        # lower point 0 lies above the upper chord (1, 2), off high-above
+        pts = ((-10, Fraction(-1, 2)), (0, 0), (1, Fraction(1, 10)), (2, 0))
+        d = DoubleSet(PointSet(pts).validate(), (1, 2, 3), (0,))
+        assert not is_high_above(d.upper_set(), d.lower_set())
+        # the upper half's own indices: its edge (0, 2) covers its point 1
+        assert not is_down_free(d.upper_set(), Matching(frozenset({(0, 2)})))
+        assert is_noncrossing(d.points, Matching(frozenset({(1, 3), (0, 2)})))
+        assert complete_to_perfect(d, Matching(frozenset({(1, 3)})), Matching(frozenset())) is None
+
     @pytest.mark.parametrize(
         "make", [double_chain, double_zigzag, lambda n: double_zigzag(n, Parity.ODD)],
         ids=["double-chain", "double-zigzag-even", "double-zigzag-odd"],
@@ -369,11 +383,14 @@ class TestCompletion:
                 if len(free_u) != len(free_l):
                     continue
                 gp, gq = globalize(mp, up_map), globalize(mq, low_map)
+                cross = {(min(u, l), max(u, l)) for u, l in zip(free_u, free_l)}
+                m = Matching(gp.edges | gq.edges | cross)
                 want = None
                 if is_down_free(ups, mp) and is_up_free(lows, mq):
-                    cross = {(min(u, l), max(u, l)) for u, l in zip(free_u, free_l)}
-                    m = Matching(gp.edges | gq.edges | cross)
                     want = m if is_noncrossing(d.points, m) else None
+                else:
+                    # high above, the crossing test alone rejects the pair
+                    assert not is_noncrossing(d.points, m)
                 assert complete_to_perfect(d, gp, gq) == want
                 completed += want is not None
         assert completed > 0

@@ -8,7 +8,8 @@ from typing import Optional
 import pytest
 
 from ncmatch import quadfield, spectral
-from ncmatch.corners import CoupledSystem, _exact_rows, extract_band
+from ncmatch.chains import ChainOperator
+from ncmatch.corners import _exact_rows, extract_band
 from ncmatch.quadfield import QuadNumber
 from ncmatch.spectral import (
     RescaledSystem,
@@ -31,9 +32,10 @@ Q = QuadNumber.from_rational
 
 
 def toy_system(bands, r=1):
-    """CoupledSystem from four explicit band tuples (offset -r..r)."""
+    """Two-state ChainOperator from four explicit band tuples (offset
+    -r..r), without image windows."""
     cc, cf, fc, ff = bands
-    return CoupledSystem(r, ((cc, cf), (fc, ff)))
+    return ChainOperator(r, ((cc, cf), (fc, ff)), (((), ()), ((), ())))
 
 
 SYMMETRIC_TOY = toy_system(((1, 1, 1),) * 4)
