@@ -257,8 +257,10 @@ class ChainOperator:
         return all(band[self.r + q] > 0 for row in self.bands for band in row for q in (-1, 0, 1))
 
 
-# Lazy map terms summed between two materializations of the running sum.  A
-# nest of some 100,000 maps overflows the C stack when it is finally read.
+# Lazy map terms summed between two materializations of a chained sum: a
+# coefficient group's sum of slices, and the running sum of the scaled
+# groups.  A nest of some 100,000 maps overflows the C stack when it is
+# finally read.
 _CHAIN_DEPTH = 64
 
 
@@ -275,10 +277,17 @@ def _banded_step(vecs, bands, windows, rows: int | None = None) -> list[list[int
     i < len(window) - 2.
 
     The states are padded with zeros on both sides, so every offset reads
-    one full slice, and each output state is one lazy chain of C-level slice
-    maps over all states and offsets, ``map(add, acc, map(mul, slice,
-    repeat(coef)))``, where a unit coefficient adds its slice unmultiplied;
-    the chain is materialized every ``_CHAIN_DEPTH`` terms.
+    one full slice.  For each output state the nonzero (state, offset) terms
+    of ``bands[x]`` are grouped by coefficient, across all input states; a
+    group's slices are summed first and the sum is scaled once, ``map(mul,
+    part, repeat(coef))``, with no multiplication for a unit coefficient.
+    So a row costs one multiplication per element for each distinct
+    coefficient other than 0 and 1, not one per offset: r, not 2r - 1, for
+    the palindromic one-state band.  Each group's sum and the running sum
+    over the groups are lazy chains of C-level slice maps, each materialized
+    every ``_CHAIN_DEPTH`` terms.  The values are exact integers, so only
+    the order of additions differs from the Toeplitz sum above, never a
+    result.
     """
     r = len(bands[0][0]) // 2
     n = max(map(len, vecs))
@@ -286,17 +295,25 @@ def _banded_step(vecs, bands, windows, rows: int | None = None) -> list[list[int
     padded = [[*repeat(0, r), *islice(vec, size + r), *repeat(0, size + r - len(vec))] for vec in vecs]
     outs = []
     for row in bands:
-        acc = [0] * size
-        depth = 0
+        groups: dict[int, list[tuple[list[int], int]]] = {}
         for vec, band in zip(padded, row):
             for start, coef in enumerate(band):
                 if coef:
-                    part = vec[start : start + size]
-                    acc = map(add, acc, part if coef == 1 else map(mul, part, repeat(coef)))
-                    depth += 1
-                    if depth == _CHAIN_DEPTH:
-                        acc, depth = list(acc), 0
-        outs.append(list(acc))
+                    groups.setdefault(coef, []).append((vec, start))
+        acc = None
+        for depth, (coef, terms) in enumerate(groups.items(), 1):
+            vec, start = terms[0]
+            part = vec[start : start + size]
+            for count, (vec, start) in enumerate(islice(terms, 1, None), 1):
+                part = map(add, part, vec[start : start + size])
+                if count % _CHAIN_DEPTH == 0:
+                    part = list(part)
+            if coef != 1:
+                part = map(mul, part, repeat(coef))
+            acc = part if acc is None else map(add, acc, part)
+            if depth % _CHAIN_DEPTH == 0:
+                acc = list(acc)
+        outs.append([0] * size if acc is None else list(acc))
     for out, row in zip(outs, windows):
         for i in range(min(size, len(row[0]) - 2)):
             out[i] -= sum(sum(map(mul, window[i + 2 :], vec)) for window, vec in zip(row, vecs))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncmatch import chains
 from ncmatch.chains import (
     BandMatrix,
     _banded_step,
@@ -20,6 +21,7 @@ from ncmatch.chains import (
     tail_bound_certificate,
     transfer_matrix,
 )
+from ncmatch.corners import extract_band
 from ncmatch.geometry import Direction, make_chain, make_rchain
 from ncmatch.oracle import MatchKind, census, census_runners
 
@@ -186,6 +188,82 @@ class TestBandedKernel:
         band = (1,) * (2 * r + 1)
         outs = _banded_step((vec,) * states, ((band,) * states,) * states, (((),) * states,) * states, 1)
         assert outs == [[states * sum(vec[: r + 1])]] * states
+
+    def test_long_running_sum_is_materialized(self):
+        # the all-ones band above makes one coefficient group; distinct
+        # coefficients make 2(2r + 1) = 120,002 groups, so the running sum
+        # over the groups nests as deep as one group's sum does there
+        r = 30000
+        vec = list(range(2 * r + 2))
+        bands = tuple(range(1, 2 * r + 2)), tuple(range(2 * r + 2, 4 * r + 3))
+        outs = _banded_step((vec, vec), (bands, bands), (((), ()),) * 2, 1)
+        want = sum(c * v for band in bands for c, v in zip(band[r:], vec))
+        assert outs == [[want], [want]]
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_repeated_coefficients_match_the_definition(self, r):
+        # band values from {0, 1, 2, 3, -1}, so that one coefficient group
+        # spans offsets and both states; every row is the double loop of the
+        # kernel's docstring
+        rng = random.Random(100 + r)
+
+        def reference(vecs, bands, windows, rows):
+            n = max(map(len, vecs))
+            size = n + r if rows is None else min(n + r, rows)
+            at = lambda vec, j: vec[j] if 0 <= j < len(vec) else 0
+            return [
+                [
+                    sum(band[beta + r] * at(vec, i + beta) for band, vec in zip(brow, vecs) for beta in range(-r, r + 1))
+                    - sum(window[i + 2 + j] * v for window, vec in zip(wrow, vecs)
+                          for j, v in enumerate(vec) if i + 2 + j < len(window))
+                    for i in range(size)
+                ]
+                for brow, wrow in zip(bands, windows)
+            ]
+
+        for lengths in [(1,), (r,), (3 * r + 2,), (2 * r + 1, r), (1, 2 * r + 3)]:
+            states = len(lengths)
+            vecs = [[rng.randrange(-10**20, 10**20) for _ in range(m)] for m in lengths]
+            bands = tuple(tuple(tuple(rng.choice((0, 1, 2, 3, -1)) for _ in range(2 * r + 1))
+                                for _ in range(states)) for _ in range(states))
+            width = rng.randrange(r + 4)
+            windows = tuple(tuple(tuple(rng.randrange(-99, 100) for _ in range(width))
+                                  for _ in range(states)) for _ in range(states))
+            n = max(lengths)
+            for rows in (None, 0, 1, r, n + r - 1, n + r + 5):
+                want = reference(vecs, bands, windows, rows)
+                assert _banded_step(vecs, bands, windows, rows) == want, (lengths, rows)
+
+    @pytest.mark.parametrize("r", [2, 3, 5, 8])
+    def test_one_multiplication_per_distinct_coefficient(self, r, monkeypatch):
+        # a row scales each coefficient group's slice sum once, so with empty
+        # image windows one step makes size * (distinct coefficients other
+        # than 0 and 1 in bands[x]) multiplications, summed over x; one
+        # multiplication per offset would be about 2r per element
+        made = []
+
+        def counting(a, b):
+            made.append(None)
+            return a * b
+
+        def distinct(op):
+            return [len({c for band in row for c in band} - {0, 1}) for row in op.bands]
+
+        for op in (_runner_operator(r), extract_band(r)):
+            states = len(op.bands)
+            vecs = [list(range(1, 3 * r + 2))] * states
+            empty = (((),) * states,) * states
+            want = _banded_step(vecs, op.bands, empty)
+            made.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(chains, "mul", counting)
+                assert _banded_step(vecs, op.bands, empty) == want
+            assert len(made) == len(want[0]) * sum(distinct(op))
+        # the palindromic one-state band w[|q|] has r values other than
+        # w[r] = 1: r per element, against 2r - 1 for one per offset
+        assert distinct(_runner_operator(r)) == [r]
+        if r == 5:
+            assert distinct(extract_band(r)) == [8, 14]
 
     @pytest.mark.parametrize("r", range(1, 21))
     def test_left_edge_is_a_reflection(self, r):
