@@ -334,7 +334,8 @@ def excursion_moments(r: int) -> tuple[int, Fraction]:
     of the weighted steps.
     """
     band = _runner_operator(r).bands[0][0]
-    assert band == band[::-1], "the stabilized band must be palindromic"
+    if band != band[::-1]:
+        raise AssertionError("the stabilized band must be palindromic")
     lam = sum(band)
     return lam, Fraction(sum(beta * beta * w for beta, w in enumerate(band, -r)), lam)
 

@@ -101,14 +101,12 @@ class QuadNumber:
     @staticmethod
     def from_rational(q: _Rational) -> "QuadNumber":
         if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
+            raise TypeError(f"from_rational takes an int or a Fraction, not {type(q).__name__}")
         return _rational(q)
 
     @staticmethod
     def sqrt_of(d: int) -> "QuadNumber":
-        if d < 0:
-            raise ValueError("radicand must be nonnegative")
-        return QuadNumber(0, 1, 1, d)
+        return QuadNumber(0, 1, 1, d)  # refuses a negative radicand
 
     # -- predicates ------------------------------------------------------------
 

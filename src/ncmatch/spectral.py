@@ -22,15 +22,21 @@ Pipeline, all in one quadratic field Q(sqrt(disc)):
 6. ``build_certificate``: pick p from the sorted value set
    {i^2} union {(i - delta)^2} whose gap to its predecessor is at least
    K / (epsilon * min pi); each root family's gap is affine in its index,
-   so p is found in closed form.  After shifting right by s >= sqrt(p) +
-   delta and clipping negatives to zero, every surviving entry is at least
-   K / epsilon and the clipped pair (xbar, ybar) satisfies, componentwise,
+   so p is found in closed form.  After shifting right by s = sqrt(p) +
+   delta + max(0, r - 3) and clipping negatives to zero, every surviving
+   entry is at least K / epsilon and the clipped pair (xbar, ybar)
+   satisfies, componentwise,
 
        apply(xbar, ybar) >= (M - epsilon) * (xbar, ybar),
 
-   which is the machine-checkable core of the exponential lower bound.
+   which is the machine-checkable core of the exponential lower bound.  Both
+   supports start at max(1, r - 2), past the head block: its rows read only
+   the inputs j <= r - 3, so on these profiles the stabilized band is the
+   true step (the cut of the first rows, which leaves the growth rate as it
+   is).  The check below is invariant under integer shifts.
 7. ``verify_certificate``: exact componentwise check of that inequality,
-   with -(M - epsilon) folded into each row's own band.  Between
+   with -(M - epsilon) folded into each row's own band, refusing a support
+   that starts below max(0, r - 2).  Between
    consecutive clipping breakpoints each row's band sum is the quadratic of
    the moments of the offsets inside the supports, decided by exact sign
    tests at its endpoints (or at the vertex when convex); every index of the
@@ -92,8 +98,10 @@ def _check_eigen(mat, m, left, right) -> None:
     (a, b), (c, e) = mat
     lx, ly = left
     rx, ry = right
-    assert lx * a + ly * c == m * lx and lx * b + ly * e == m * ly
-    assert rx * a + ry * b == m * rx and rx * c + ry * e == m * ry
+    if not (lx * a + ly * c == m * lx and lx * b + ly * e == m * ly):
+        raise AssertionError("left eigenvector equations fail")
+    if not (rx * a + ry * b == m * rx and rx * c + ry * e == m * ry):
+        raise AssertionError("right eigenvector equations fail")
 
 
 def weighted_drift(sys: ChainOperator) -> QuadNumber:
@@ -248,7 +256,8 @@ class SubEigenCertificate:
         xbar(i) = max(pi_x (p - (i - s)^2), 0)
         ybar(i) = max(pi_y (p - (i - s + delta)^2), 0)
 
-    (zero for i < 0 by the choice of s); they are stored implicitly through
+    (zero for i < max(1, r - 2) when 0 < delta < 1, by the choice of s:
+    past the head block); they are stored implicitly through
     (p, s, delta) because their support can run to millions of entries.
     """
 
@@ -328,69 +337,47 @@ def _predecessor(delta: QuadNumber, value: QuadNumber, root: QuadNumber) -> Quad
     return max(below, default=_Q(0))
 
 
-def build_certificate(
-    resc: RescaledSystem, epsilon: Fraction | int
-) -> SubEigenCertificate:
+def build_certificate(resc: RescaledSystem, epsilon: Fraction | int) -> SubEigenCertificate:
     """Gap search, shift, and clip: the lower bound M - epsilon, 0 < epsilon < M."""
-    epsilon = _checked_epsilon(resc, epsilon)
-    delta = shift_constant(resc)  # refuses nonzero drift
-    qx, qy = residual_constants(resc, delta)
-    k_const = qx if qx >= qy else qy
-    need = _gap_requirement(resc, epsilon, k_const)
-    p, root_p, gap = gap_search(delta, need)
-    return certificate_from_peak(resc, epsilon, p, root_p, delta, k_const, gap)
-
-
-def _checked_epsilon(resc: RescaledSystem, epsilon: Fraction | int) -> Fraction:
-    """epsilon as a Fraction; from epsilon = M on, M - epsilon <= 0 bounds nothing."""
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0 or _Q(epsilon) >= resc.m:
-        raise ValueError("epsilon must lie between 0 and the eigenvalue M, exclusive")
-    return epsilon
+    return _certificate(resc, epsilon, gap_search)
 
 
 def certificate_from_peak(
-    resc: RescaledSystem,
-    epsilon: Fraction,
-    p: QuadNumber,
-    root_p: QuadNumber,
-    delta: Optional[QuadNumber] = None,
-    k_const: Optional[QuadNumber] = None,
-    gap: Optional[QuadNumber] = None,
+    resc: RescaledSystem, epsilon: Fraction, p: QuadNumber, root_p: QuadNumber
 ) -> SubEigenCertificate:
     """Certificate with an explicitly chosen peak value (negative controls),
-    for the same epsilons as ``build_certificate``: 0 < epsilon < M."""
-    epsilon = _checked_epsilon(resc, epsilon)
-    if delta is None:
-        delta = shift_constant(resc)
-    if k_const is None:
-        qx, qy = residual_constants(resc, delta)
-        k_const = qx if qx >= qy else qy
-    if gap is None:
-        gap = p - _predecessor(delta, p, root_p)
-    s = root_p + delta  # positive entries then sit at strictly positive indices
+    for the same epsilons and placement as ``build_certificate``."""
+    return _certificate(
+        resc, epsilon, lambda delta, _: (p, root_p, p - _predecessor(delta, p, root_p))
+    )
+
+
+def _certificate(resc: RescaledSystem, epsilon: Fraction | int, peak) -> SubEigenCertificate:
+    """The profile (shift constant and larger residual, each computed once)
+    with the peak ``peak(delta, need) -> (p, root_p, gap)``, placed past the
+    head block (module docstring, step 6).  From epsilon = M on, M - epsilon
+    <= 0 bounds nothing."""
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0 or _Q(epsilon) >= resc.m:
+        raise ValueError("epsilon must lie between 0 and the eigenvalue M, exclusive")
+    delta = shift_constant(resc)  # refuses nonzero drift
+    qx, qy = residual_constants(resc, delta)
+    k_const = qx if qx >= qy else qy
+    p, root_p, gap = peak(delta, _gap_requirement(resc, epsilon, k_const))
+    s = root_p + delta + max(0, resc.r - 3)
     sup_x = _open_interval_ints(s - root_p, s + root_p)
     sup_y = _open_interval_ints(s - delta - root_p, s - delta + root_p)
     if sup_x[1] < sup_x[0] or sup_y[1] < sup_y[0]:
         raise ValueError("peak too small: a certificate needs nonzero vectors")
     return SubEigenCertificate(
-        epsilon=epsilon,
-        p=p,
-        root_p=root_p,
-        s=s,
-        delta=delta,
-        k_const=k_const,
-        gap=gap,
-        support_x=sup_x,
-        support_y=sup_y,
+        epsilon=epsilon, p=p, root_p=root_p, s=s, delta=delta, k_const=k_const, gap=gap,
+        support_x=sup_x, support_y=sup_y,
     )
 
 
 def _open_interval_ints(lo: QuadNumber, hi: QuadNumber) -> tuple[int, int]:
     """Integers strictly inside (lo, hi) as an inclusive index range."""
-    left = lo.floor() + 1
-    right = hi.ceil() - 1
-    return left, right
+    return lo.floor() + 1, hi.ceil() - 1
 
 
 def verify_certificate(resc: RescaledSystem, cert: SubEigenCertificate) -> bool:
@@ -406,8 +393,15 @@ def verify_certificate(resc: RescaledSystem, cert: SubEigenCertificate) -> bool:
     cleared to integer numerators over one denominator first, so the
     tables and the sign tests are integer arithmetic.  False is a
     legitimate outcome, not an error.
+
+    A support that starts below max(0, r - 2) is refused: such profiles meet
+    the head block, where the true step is smaller than the stabilized band
+    read here, or a negative index.  So True is a statement about the true
+    operator, the one the lower bound uses.
     """
     r = resc.r
+    if min(cert.support_x[0], cert.support_y[0]) < max(0, r - 2):
+        return False
     # i + beta enters or leaves a support at bound - beta (+ 1)
     marks = sorted({
         bound - beta + e

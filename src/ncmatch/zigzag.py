@@ -85,7 +85,8 @@ def closed_form_coeffs(kmax: int) -> list[int]:
     must equal the recursion's c-sequence."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    assert [q[0] for q in _QUARTIC] == [1, -1, 0, 0, 0], "the quartic must read 1 - C at x = 0"
+    if [q[0] for q in _QUARTIC] != [1, -1, 0, 0, 0]:
+        raise AssertionError("the quartic must read 1 - C at x = 0")
     c = [1]
     powers = [c, [1], [1], [1]]  # C, C^2, C^3, C^4
     for k in range(1, kmax + 1):

@@ -188,6 +188,20 @@ class TestGapSearch:
         assert gap >= need
 
 
+def _steps_on_profiles(op, resc, cert):
+    """(op.step, its band-only step without image windows) on the explicit
+    vectors (xbar, l_C / l_F * ybar), entries 0..n-1, n = support_y[0] +
+    2r + 2, rows 0..n-r-1, which read no entry past n.  No row from r - 2 on
+    has an image window, so equal rows here are equal steps on the whole
+    vectors."""
+    l_c, l_f = eigen_data(op.condensed).left
+    n = cert.support_y[0] + 2 * op.r + 2
+    up = l_c / l_f
+    vecs = ([cert.xbar(resc, i) for i in range(n)], [up * cert.ybar(resc, i) for i in range(n)])
+    band_only = ChainOperator(op.r, op.bands, (((), ()), ((), ())))
+    return op.step(vecs, n - op.r), band_only.step(vecs, n - op.r)
+
+
 class TestCertificates:
     @pytest.mark.parametrize("r", [2, 8])
     @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 100)])
@@ -199,20 +213,23 @@ class TestCertificates:
 
     @staticmethod
     def _head_rows_hold(r, kind, eps, margin=None) -> bool:
-        """Rows 0..r-1 of the true step (``_exact_rows``; the verifier reads
-        the stabilized band, which dominates it there) on the certificate in
-        unscaled coordinates (xbar, up * ybar), up = l_C / l_F: each C row is
-        at least lam * xbar and each F row over up at least lam * ybar, with
-        lam = M - margin and margin = eps unless given."""
+        """Rows 0..n-r-1 of the true step (``_exact_rows``), n = support_y[0]
+        + 2r + 2: the head rows and the first r + 2 rows from the support
+        start on, each read in full from the first n entries.  The
+        certificate is taken in unscaled coordinates (xbar, up * ybar), up =
+        l_C / l_F: each C row is at least lam * xbar and each F row over up
+        at least lam * ybar, with lam = M - margin and margin = eps unless
+        given."""
         sys_r = extract_band(r, kind=kind)
         resc = rescale(sys_r)
         cert = build_certificate(resc, eps)
         l_c, l_f = eigen_data(sys_r.condensed).left
         up = l_c / l_f
         lam = resc.m - (eps if margin is None else margin)
-        x = [cert.xbar(resc, i) for i in range(2 * r + 2)]
-        y = [cert.ybar(resc, i) for i in range(2 * r + 2)]
-        c_rows, f_rows = _exact_rows(x, [up * v for v in y], r, r, kind)
+        n = cert.support_y[0] + 2 * r + 2
+        x = [cert.xbar(resc, i) for i in range(n)]
+        y = [cert.ybar(resc, i) for i in range(n)]
+        c_rows, f_rows = _exact_rows(x, [up * v for v in y], r, n - r, kind)
         return all(c >= lam * v for c, v in zip(c_rows, x)) and all(
             f / up >= lam * v for f, v in zip(f_rows, y))
 
@@ -224,6 +241,32 @@ class TestCertificates:
 
     def test_head_row_check_refuses_a_rate_above_the_eigenvalue(self):
         assert not self._head_rows_hold(6, "down-free", Fraction(1, 100), margin=-1)
+
+    @pytest.mark.parametrize("r", range(2, 13))
+    @pytest.mark.parametrize("kind", ["down-free", "all"])
+    @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 100)])
+    def test_placement_holds_on_the_true_step(self, r, kind, eps):
+        # past the head block the stabilized band that the check reads is
+        # the true step, so a True verdict is about the true operator
+        op = extract_band(r, kind=kind)
+        resc = rescale(op)
+        cert = build_certificate(resc, eps)
+        assert cert.support_x[0] == cert.support_y[0] == max(1, r - 2)
+        true_step, band_step = _steps_on_profiles(op, resc, cert)
+        assert true_step == band_step
+        assert verify_certificate(resc, cert)
+
+    @pytest.mark.parametrize("r", range(4, 9))
+    def test_certificate_in_the_head_block_is_refused(self, r):
+        # the same certificate moved back to index 1 passes the band-only
+        # reference check, but the true step differs there
+        resc = _rescaled(r)
+        back = _moved(build_certificate(resc, Fraction(1, 10)), 3 - r)
+        assert back.support_x[0] == back.support_y[0] == 1
+        true_step, band_step = _steps_on_profiles(extract_band(r), resc, back)
+        assert true_step != band_step
+        assert _reference_verify(resc, back)
+        assert not verify_certificate(resc, back)
 
     def test_support_scales_like_twice_root_peak(self):
         resc = rescale(extract_band(2))
@@ -537,6 +580,13 @@ def _undersized(resc):
     return certificate_from_peak(resc, Fraction(1, 10), (1 + delta) ** 2, 1 + delta)
 
 
+def _moved(cert, k):
+    """The certificate's profile pair moved k indices to the right."""
+    return dataclasses.replace(
+        cert, s=cert.s + k, support_x=tuple(i + k for i in cert.support_x),
+        support_y=tuple(i + k for i in cert.support_y))
+
+
 def _verify_cases(r, epsilons):
     """Certificates that do and do not verify, for one r."""
     resc = _rescaled(r)
@@ -550,9 +600,12 @@ def _verify_cases(r, epsilons):
         # The Y profile moved k indices away: only then does a breakpoint one
         # past an upper bound miss the other support's breakpoints.  With a
         # huge epsilon no row can fail early, so every segment is checked.
+        # The pair is first moved right by 3r + 3, so that k < 0 keeps the Y
+        # support past the head block, which ``verify_certificate`` demands.
+        far = _moved(cert, 3 * r + 3)
         for k in (3 * r + 3, -3 * r - 3):
-            sup = (cert.support_y[0] + k, cert.support_y[1] + k)
-            moved = dataclasses.replace(cert, delta=cert.delta - k, support_y=sup)
+            sup = (far.support_y[0] + k, far.support_y[1] + k)
+            moved = dataclasses.replace(far, delta=far.delta - k, support_y=sup)
             yield moved
             yield dataclasses.replace(moved, epsilon=Fraction(10**6))
     yield _undersized(resc)
@@ -834,14 +887,18 @@ class TestMomentsAgainstReference:
         delta = _reference_shift_constant(resc)
         qx, qy = _reference_residual_constants(resc, delta)
         k_const = qx if qx >= qy else qy
+        start = max(1, r - 2)
         for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
             p, root, gap = gap_search(delta, _gap_requirement(resc, eps, k_const))
-            want = certificate_from_peak(resc, eps, p, root, delta, k_const, gap)
+            s = root + delta + (start - 1)
+            want = {"p": p, "root_p": root, "s": s, "delta": delta, "k_const": k_const, "gap": gap}
             got = build_certificate(resc, eps)
-            for field in ("p", "root_p", "s", "delta", "k_const", "gap"):
-                assert getattr(got, field).as_tuple() == getattr(want, field).as_tuple(), field
-            assert (got.epsilon, got.support_x, got.support_y) == (
-                want.epsilon, want.support_x, want.support_y)
+            for field, value in want.items():
+                assert getattr(got, field).as_tuple() == value.as_tuple(), field
+            assert got.epsilon == eps
+            # the integers strictly inside s -+ root and s - delta -+ root
+            assert got.support_x == (start, (s + root).ceil() - 1)
+            assert got.support_y == (start, (s - delta + root).ceil() - 1)
 
     @pytest.mark.parametrize("r", [2, 5])
     def test_clipped_profiles_match_reference(self, r):
