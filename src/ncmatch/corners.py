@@ -48,8 +48,9 @@ support, minus a Hankel head block: row i < r - 2 subtracts the sum over
 j < r - 2 - i of window[i + j + 2] * vec[j], with the parity windows of the
 coupled families laid out ``[x][y]`` over the states like the bands.  One
 step of the operator applies both.  ``extract_band`` returns the operator,
-its bands probed from the six sums themselves (``_exact_rows``), the
-definition, which the tests check the step against on every row.
+its bands summed from the families and their windows, or, with an explicit
+probe, read off the six sums themselves (``_exact_rows``), the definition,
+which the tests check the step and the bands against.
 
 For analysis the recursion is condensed: away from small indices it is a
 2x2 array over the states (C, F) of bands ``bands[x][y][beta + r]``
@@ -64,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Literal, Sequence, get_args
 
 from .chains import ChainOperator, _light_cone, _parity_windows, _tails
@@ -123,7 +124,7 @@ def coupled_step(
 
 @lru_cache(maxsize=None)
 def _coupled_operator(r: int, kind: Kind) -> ChainOperator:
-    """extract_band(r, kind=kind), probed once per (r, kind)."""
+    """extract_band(r, kind=kind), built once per (r, kind)."""
     return extract_band(r, kind=kind)
 
 
@@ -144,8 +145,9 @@ def _exact_rows(
 ) -> tuple[list[int], list[int]]:
     """Rows 0..stop-1 of one step, straight from the six contribution sums.
 
-    This is the definition of the step, read by ``extract_band``'s probe
-    and by the tests; ``coupled_step`` takes the banded route.
+    This is the definition of the step, read by ``extract_band`` when it
+    is given an explicit probe and by the tests; ``coupled_step`` takes the
+    banded route.
 
     Both states have one length n.  The sums are taken column by column:
     each nonzero input j adds its terms to the rows i < stop with
@@ -217,31 +219,41 @@ def _coupled_cone(r: int, kmax: int, heads: int | None = None, kind: Kind = "dow
 
 
 def extract_band(r: int, probe: int | None = None, *, kind: Kind = "down-free") -> ChainOperator:
-    """The two-state operator of the coupled recursion, with its stabilized
-    band coefficients read off the recursion itself.
+    """The two-state operator of the coupled recursion: its stabilized band
+    coefficients and the families' parity windows of ``_head_tables``.
 
-    A unit state at a probe index deep in the stabilized region (default
-    2r + 2) is pushed through one step of the six contribution sums, which
-    visit only the nonzero inputs, so a probe costs O(r); the responses at
-    offsets -r..r are the band coefficients.  Probing the linear map avoids
-    transcribing 4(2r+1) closed forms by hand.  The band support
-    |beta| <= r is verified.  The image windows are the families' parity
-    windows of ``_head_tables``.
+    Past the head rows, the six sums of ``_exact_rows`` at beta = j - i are
+    the window win[|beta|] (|beta| < r) of the state pair, plus the
+    one-sided families (Z, I, W = no_corner, left_in, right_in) shifted by
+    one: Z[-beta - 1] in CC and W[-beta - 1] in FC at beta < 0, I[beta - 1]
+    in FC and Z[beta - 1] in FF at beta > 0.  By default these four sums
+    are built directly.  With an explicit ``probe`` index (at least 2r) the
+    bands are read off the definition instead: a unit state there is pushed
+    through ``_exact_rows``, and its responses at offsets -r..r, checked to
+    vanish beyond, are the band coefficients.
     """
     if r < 1:
         raise ValueError("r must be positive")
-    i0 = probe if probe is not None else 2 * r + 2
-    if i0 < 2 * r:
+    if probe is None:
+        (Z, I, W), windows = _head_tables(r, kind)
+        zeros = (0,) * r
+
+        def band(win, left=zeros, right=zeros):
+            return tuple(map(add, (0, *win[:0:-1], *win, 0), (*left[::-1], 0, *right)))
+
+        (cc, cf), (fc, ff) = windows
+        return ChainOperator(r, ((band(cc, Z), band(cf)), (band(fc, W, I), band(ff, right=Z))), windows)
+    if probe < 2 * r:
         raise ValueError("probe index must sit in the stabilized region")
-    zero, unit = [0] * (i0 + 1), [0] * i0 + [1]
-    size = i0 + 1 + r
+    zero, unit = [0] * (probe + 1), [0] * probe + [1]
+    size = probe + 1 + r
     # responses[y][x]: the x-state rows after a unit y-state
     responses = (_exact_rows(unit, zero, r, size, kind), _exact_rows(zero, unit, r, size, kind))
 
     def band_of(resp: list[int]) -> tuple[int, ...]:
-        if any(resp[: i0 - r]) or any(resp[i0 + r + 1 :]):
+        if any(resp[: probe - r]) or any(resp[probe + r + 1 :]):
             raise AssertionError(f"response outside bandwidth |beta| <= {r}")
-        return tuple(resp[i0 + r : i0 - r - 1 : -1])
+        return tuple(resp[probe + r : probe - r - 1 : -1])
 
     bands = tuple(tuple(map(band_of, row)) for row in zip(*responses))
     return ChainOperator(r, bands, _head_tables(r, kind)[1])

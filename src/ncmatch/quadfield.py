@@ -281,8 +281,8 @@ class QuadNumber:
         """Rational approximation with absolute error below |b|/c * 2**-bits."""
         if self.b == 0:
             return Fraction(self.a, self.c)
-        root = Fraction(isqrt(self.d << (2 * bits)), 1 << bits)
-        return Fraction(self.a, self.c) + Fraction(self.b, self.c) * root
+        # (a + b * isqrt(d * 4**bits) / 2**bits) / c as one fraction
+        return Fraction((self.a << bits) + self.b * isqrt(self.d << (2 * bits)), self.c << bits)
 
     def to_float(self) -> float:
         return float(self.approx())

@@ -51,6 +51,17 @@ def test_corner_table_to_sixty_is_pinned(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_growth_corners_one_to_sixty_is_pinned(capsys):
+    # the bench's sweep jobs, one process per r; the digest is over their
+    # concatenated stdout and never moves
+    digest = hashlib.sha256()
+    for r in range(1, 61):
+        code, out, _ = run(capsys, "growth", "--r", str(r), "--corners")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == "f15771dacd80f76041853fa19901aea8257b97caf2ec523f11de77ec0423b121"
+
+
 def test_growth_corners_nine_decimals(capsys):
     code, out, _ = run(capsys, "growth", "--r", "8", "--corners")
     assert code == 0

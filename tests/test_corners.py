@@ -392,6 +392,41 @@ class TestExactRowsAgainstReference:
         assert systems[0] == systems[1] == systems[2]
 
 
+class TestClosedFormBands:
+    """The default extract_band builds the bands from the corner families;
+    an explicit probe reads them off ``_exact_rows``, the definition."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("r", range(1, 61))
+    def test_closed_form_equals_the_definition(self, r, kind):
+        closed = extract_band(r, kind=kind)
+        for probe in (2 * r, 2 * r + 2, 3 * r + 5):
+            probed = extract_band(r, probe, kind=kind)
+            assert closed == probed
+            for x in range(2):
+                for y in range(2):
+                    assert closed.bands[x][y] == probed.bands[x][y]
+                    assert len(closed.bands[x][y]) == 2 * r + 1
+
+    def test_only_an_explicit_probe_reads_the_definition(self, monkeypatch):
+        from ncmatch import corners
+
+        calls = []
+        real = corners._exact_rows
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(corners, "_exact_rows", counted)
+        for kind in KINDS:
+            for r in (1, 2, 7, 30):
+                extract_band(r, kind=kind)
+        assert calls == []
+        extract_band(7, 16, kind="all")
+        assert calls == [7, 7]
+
+
 class TestBandExtraction:
     @pytest.mark.parametrize("r", sorted(CONDENSED_FIXTURES))
     def test_condensed_fixtures(self, r):
@@ -419,7 +454,7 @@ class TestBandExtraction:
 
     @pytest.mark.parametrize("r", [1, 2, 5])
     def test_response_outside_the_band_is_caught(self, monkeypatch, r):
-        # the probe sits at 2r + 2; row r + 1 is offset beta = r + 1, row r + 2 is beta = r
+        # a probe at 2r + 2: row r + 1 is offset beta = r + 1, row r + 2 is beta = r
         from ncmatch import corners
 
         real, clean = corners._exact_rows, extract_band(r)
@@ -434,9 +469,9 @@ class TestBandExtraction:
 
         monkeypatch.setattr(corners, "_exact_rows", injected(r + 1))
         with pytest.raises(AssertionError, match="outside bandwidth"):
-            extract_band(r)
+            extract_band(r, 2 * r + 2)
         monkeypatch.setattr(corners, "_exact_rows", injected(r + 2))
-        moved = extract_band(r)
+        moved = extract_band(r, 2 * r + 2)
         assert moved.bands[1][1][2 * r] == clean.bands[1][1][2 * r] + 1
         assert moved.bands[0] == clean.bands[0]
 

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -90,6 +92,26 @@ def test_root_float_past_float_range(n):
     if n >= 100:
         with pytest.raises(OverflowError):
             big.to_float()
+
+
+def _approx_reference(x, bits):
+    # the three-fraction form: a/c + (b/c) * isqrt(d * 4**bits) / 2**bits
+    if x.b == 0:
+        return Fraction(x.a, x.c)
+    root = Fraction(isqrt(x.d << (2 * bits)), 1 << bits)
+    return Fraction(x.a, x.c) + Fraction(x.b, x.c) * root
+
+
+@pytest.mark.parametrize("bits", [1, 96, 200])
+def test_approx_is_the_three_fraction_form(bits):
+    rng = random.Random(3400 + bits)
+    radicands = [2, 7, 12, 18, 50, 3 * 20011**2, 93]
+    for _ in range(2000):
+        b = rng.choice([0, rng.randint(-10**20, -1), rng.randint(1, 10**20)])
+        d = rng.choice(radicands + [rng.randint(2, 10**30)])
+        x = QuadNumber(rng.randint(-10**30, 10**30), b, rng.randint(1, 10**25), d)
+        got, want = x.approx(bits), _approx_reference(x, bits)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 @given(
