@@ -35,19 +35,18 @@ value, ``ChainOperator(r, bands, windows)``, holds both, with one state
 here and two (C, F) in ``corners``; its ``step`` is one banded kernel call.
 ``BandMatrix.apply`` stays an entry-by-entry evaluation, a second route
 that the tests compare the kernel against.  One driver, ``_light_cone``,
-steps this recursion and the coupled one of ``corners``; the series and
-count functions of both are views of it.
+steps this recursion and the coupled one of ``corners``: both series and
+``chain_counts`` are its views, and ``runner_counts`` reads v_k off P^k.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
 from math import comb
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable, Iterator, Literal, Sequence
 
 ArcKind = Literal["down-free", "perfect", "all"]
@@ -183,13 +182,26 @@ def _light_cone(step: Callable, start, r: int, kmax: int, heads: int | None = No
 
 
 def runner_counts(r: int, k: int) -> list[int]:
-    """v_k: exact counts of down-free rho-matchings of k arcs by runner count.
+    """v_k: down-free rho-matchings of k arcs by runner count (entry 0 is the
+    plain count, r*k + 1 entries), read off one power with no step.
 
-    Starts from v_0 = [1]; entry 0 of v_k is the plain down-free count.
-    Support is exactly r*k + 1 wide, which makes the nominally infinite
-    recursion finite and exact.  Only the last vector is kept.
+    Ballot identity: a walk killed below 0 is a band walk less its reflection,
+    so with q = p^k, p(u) = u^r P(u) = sum p_j u^j palindromic, v_k[i] =
+    [u^i] P^k - [u^(i+2)] P^k = q[rk - i] - q[rk - i - 2] (q = 0 below 0).
+    J.C.P. Miller: u^(m-1) of p q' = k p' q gives m p_0 q[m] = sum over
+    j = 1..min(m, 2r) of ((k+1) j - m) p_j q[m-j], from q[0] = p_0^k.  q has
+    integer coefficients, so the division by m p_0 is exact.  (rk + 1) 2r
+    products: O(r^2 k), where k steps take O(r^2 k^2).
     """
-    return deque(_light_cone(lambda vec, rows: runner_step(vec, r), [1], r, k), maxlen=1).pop()
+    p = _palindromic_band(r)
+    if k < 0:
+        raise ValueError("kmax must be nonnegative")
+    plain, scaled = p[1:], [(k + 1) * j * c for j, c in enumerate(p[1:], 1)]
+    q = [p[0] ** k]
+    for m in range(1, r * k + 1):
+        prev = q[: -2 * r - 1 : -1]  # q[m-1], q[m-2], ..., q[max(0, m - 2r)]
+        q.append((sum(map(mul, scaled, prev)) - m * sum(map(mul, plain, prev))) // (m * p[0]))
+    return list(map(sub, q[::-1], [*q[-3::-1], 0, 0]))
 
 
 def runner_series(r: int, kmax: int) -> list[list[int]]:
@@ -325,17 +337,20 @@ def _banded_step(vecs, bands, windows, rows: int | None = None) -> list[list[int
 # ---------------------------------------------------------------------------
 
 
-def excursion_moments(r: int) -> tuple[int, Fraction]:
-    """(lambda, sigma^2) of the step polynomial P(u) = sum w_beta u^beta of
-    the stabilized band, exactly.
-
-    The band is palindromic, so P'(1) = 0: the base lambda = P(1) is the
-    growth factor and sigma^2 = sum beta^2 w_beta / lambda is the variance
-    of the weighted steps.
-    """
+def _palindromic_band(r: int) -> tuple[int, ...]:
+    """The one-state band at offsets -r..r, refused unless palindromic."""
     band = _runner_operator(r).bands[0][0]
     if band != band[::-1]:
         raise AssertionError("the stabilized band must be palindromic")
+    return band
+
+
+def excursion_moments(r: int) -> tuple[int, Fraction]:
+    """(lambda, sigma^2) of the step polynomial P(u) = sum w_beta u^beta of
+    the stabilized band, exactly.  The band is palindromic, so P'(1) = 0:
+    the base lambda = P(1) is the growth factor and sigma^2 = sum beta^2
+    w_beta / lambda is the variance of the weighted steps."""
+    band = _palindromic_band(r)
     lam = sum(band)
     return lam, Fraction(sum(beta * beta * w for beta, w in enumerate(band, -r)), lam)
 

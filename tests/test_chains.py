@@ -161,6 +161,17 @@ class TestRunnerRecursion:
             coeff = lambda e: power[e + r * k] if e <= r * k else 0
             assert vec == [coeff(i) - coeff(i + 2) for i in range(r * k + 1)], (r, k)
 
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_power_read_equals_the_kernel_series(self, r):
+        # runner_counts reads v_k off P^k; runner_series steps the kernel
+        series = runner_series(r, 40)
+        for k, vec in enumerate(series):
+            assert runner_counts(r, k) == vec, (r, k)
+
+    @pytest.mark.parametrize("r,k", [(2, 300), (5, 100), (8, 60)])
+    def test_power_read_equals_the_kernel_at_long_runs(self, r, k):
+        assert runner_counts(r, k) == runner_series(r, k)[k]
+
 
 class TestBandedKernel:
     """runner_step applies the stabilized band to the zero-extended vector
@@ -380,6 +391,18 @@ class TestExcursionGrowth:
         K = 2 / (math.sqrt(2 * math.pi) * float(var) ** 1.5)
         ratio = float(Fraction(runner_counts(r, k)[0], lam**k)) * k**1.5 / K
         assert ratio == pytest.approx(1, rel=0.01)
+
+    @pytest.mark.parametrize("r,expected", [(1, 0.998783), (2, 0.999391), (5, 0.999682)])
+    def test_polynomial_factor_diagnostic_at_research_size(self, r, expected):
+        # the same ratio at k = 2000, which the power read makes cheap; it
+        # closes in on 1 as O(1/k): (1 - ratio) k reads 2.43, 1.22 and 0.64
+        # at r = 1, 2, 5 for every k from 400 to 2000
+        lam, var = excursion_moments(r)
+        k = 2000
+        K = 2 / (math.sqrt(2 * math.pi) * float(var) ** 1.5)
+        ratio = float(Fraction(runner_counts(r, k)[0], lam**k)) * k**1.5 / K
+        assert ratio == pytest.approx(1, rel=0.002)
+        assert ratio == pytest.approx(expected, rel=1e-5)
 
 
 class TestVariants:

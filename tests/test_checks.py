@@ -34,7 +34,8 @@ zigzag._QUARTIC = (zigzag._QUARTIC[0], zigzag._QUARTIC[1], [1, *zigzag._QUARTIC[
 print(json.dumps([__debug__,
                   message(lambda: spectral._check_eigen(((1, 1), (1, 1)), 3, half, half)),
                   message(lambda: zigzag.closed_form_coeffs(3)),
-                  message(lambda: chains.excursion_moments(1))]))
+                  message(lambda: chains.excursion_moments(1)),
+                  message(lambda: chains.runner_counts(1, 2))]))
 """
 
 
@@ -47,6 +48,7 @@ def test_checks_survive_optimized_mode():
         False,
         "left eigenvector equations fail",
         "the quartic must read 1 - C at x = 0",
+        "the stabilized band must be palindromic",
         "the stabilized band must be palindromic",
     ]
 
