@@ -380,9 +380,12 @@ def best_arc_size(limit: int, kind: ArcKind = "down-free") -> tuple[int, float]:
     """Arg-max of growth_factor(r) ** (1/r) over r = 1..limit, certified.
 
     Comparisons cross-multiply integer powers (lam_r**s vs lam_s**r), never
-    floats; the returned float rate is only a display value.  When limit
-    reaches 190 the tail certificate is re-checked and the winner is
-    certified to beat the tail bound, making the arg-max global.
+    floats; the returned float rate is only a display value.  For the
+    down-free kind, when limit reaches 190, the tail certificate is
+    re-checked and the winner is certified to beat the tail bound, making
+    the arg-max global.  Any other result is the arg-max over 1..limit
+    only: the all kind's rates rise with r, so ``best_arc_size(200, "all")``
+    returns the limit itself, (200, 3.936...).
     """
     if limit < 1:
         raise ValueError("limit must be positive")

@@ -4,17 +4,20 @@ This is the ground-truth engine: it never uses the counting recursions it is
 meant to check.  All geometry is resolved up front into bitmask tables
 (segment crossings, which edges block a point's vertical rays), read off
 ``geometry._side_masks``, the library's one integer order-type pass, and
-cached per point tuple.  One backtracking sweep over the points in x-order,
-using only bitmask tests, hands the *skeletons* to a leaf fold (tally, list
-or count), so exactness costs nothing inside the hot loop.  Short tails of
-the sweep repeat: within one call, the completions of a state with a few
-unused points depend only on its next point and the edges over it, so the
-sweep records them once and hands them to the fold in one call per visit.
-A skeleton is a matching up to its *loose* points: unmatched points that
-may be either free or a runner because no edge passes over them (only
-``RHO_DOWN_FREE`` has any).  The sweep marks them instead of branching on
-them.  The tallies group the skeletons by their counts, then expand b loose
-points into the C(b, t) matchings with t of them runners.
+cached per point tuple.  A backtracking sweep over the points in x-order,
+using only bitmask tests, decides each point in turn, so exactness costs
+nothing inside the hot loop.  The completions of a sweep state depend only
+on its next point and the edges over it.  Counting folds them: one
+memoised pass per call (`_fold`) computes each such key's completion
+counts once, from its children's, and every census reads the start state's
+counts.  Listing walks them (`_walk`): it hands each *skeleton* to a leaf
+once, in walk order, and replays the recorded completions of short tail
+states in one call per visit.  A skeleton is a matching up to its *loose*
+points: unmatched points that may be either free or a runner because no
+edge passes over them (only ``RHO_DOWN_FREE`` has any).  The sweep marks
+them instead of branching on them.  The censuses group the skeletons by
+their counts, then expand b loose points into the C(b, t) matchings with t
+of them runners.
 
 Matching kinds:
 
@@ -176,6 +179,17 @@ _TAIL = range(3, 6)
 _DONE = ((0, 0),)  #: the tail of a finished state: one skeleton, adding nothing
 
 
+def _blocks(tab: _Tables, kind: MatchKind) -> tuple[Optional[list], Optional[list]]:
+    """Per point, the edges that keep it from being left free, and from being
+    a runner, under `kind`; None where the kind allows neither."""
+    free_block = tab.above if kind is MatchKind.UP_FREE else tab.below
+    if kind is MatchKind.ALL:
+        free_block = [0] * tab.n
+    elif kind is MatchKind.PERFECT:
+        free_block = None
+    return free_block, tab.above if kind is MatchKind.RHO_DOWN_FREE else None
+
+
 def _recorder(tail: list, base: int) -> Callable[[int, int, Sequence], None]:
     """A leaf that extends `tail` by the edges each skeleton it is handed adds
     to `base`, with its runner bits.  (Made outside `_walk`: a lambda inside
@@ -184,48 +198,34 @@ def _recorder(tail: list, base: int) -> Callable[[int, int, Sequence], None]:
     return lambda edges, runners, got: add([(edges ^ base | e, runners | r) for e, r in got])
 
 
-def _walk(
-    tab: _Tables,
-    kind: MatchKind,
-    leaf: Callable[[int, int, Sequence], None],
-    used: int = 0,
-    edges: int = 0,
-    ok_edge: Optional[int] = None,
-) -> None:
+def _walk(tab: _Tables, kind: MatchKind, leaf: Callable[[int, int, Sequence], None]) -> None:
     """Hand the skeletons of the matchings of `kind` to ``leaf(edges, runners,
     tail)`` in walk order, ``(edges | e, runners | r)`` for each ``(e, r)`` in
     `tail`: bitmasks over edge ids and points.  A finished state passes `_DONE`.
+    This is the listing walk; `_fold` counts on the same states and branches.
 
     Each unused point, in x-order, is left free, made a runner, or matched to
     a later point.  A point that may be either free or a runner is marked
     loose instead, by bit n + i of `runners`, and the leaf expands it; bits
     below n are the runners every matching of the skeleton has.  Every edge
     over a point is added before the walk reaches it, so the choice is final
-    there.  `used` and `edges` fix points and edges from the start;
-    `ok_edge`, when given, masks the edges that may be added.
+    there.
 
-    A state whose next unused point i is right of the middle, with a number
-    of unused points in `_TAIL`, is keyed by ``(i, edges & span[i])``, the
-    edges over i; its completions depend on nothing else.  The fixed points,
-    edges and `ok_edge` are the same in every state of the call.  Every edge
-    the walk adds starts left of i: one that ends left of i can neither pass
-    over a later point nor cross a later edge (their x-spans are disjoint),
-    and one that ends right of i passes over i, so the key also fixes
-    ``used >> i``.  The first visit runs the branch body from the state into
-    a `_recorder` (states nested in it replay into that); every visit then
-    hands the leaf the recorded tail in one call.  So each skeleton reaches
-    the leaf once, in the same order.  The memo lives for one call.
+    A state's completions depend only on its key ``(i, edges & span[i])``:
+    its next unused point i and the edges over it.  Every edge the walk adds
+    starts left of i: one that ends left of i can neither pass over a later
+    point nor cross a later edge (their x-spans are disjoint), and one that
+    ends right of i passes over i, so the key also fixes ``used >> i``.  A
+    state right of the middle, with a number of unused points in `_TAIL`,
+    records its completions once: the first visit runs the branch body from
+    the state into a `_recorder` (states nested in it replay into that);
+    every visit then hands the leaf the recorded tail in one call.  So each
+    skeleton reaches the leaf once, in the same order.  The memo lives for
+    one call.
     """
     n = tab.n
-    free_block = tab.above if kind is MatchKind.UP_FREE else tab.below
-    if kind is MatchKind.ALL:
-        free_block = [0] * n
-    elif kind is MatchKind.PERFECT:
-        free_block = None
-    runner_block = tab.above if kind is MatchKind.RHO_DOWN_FREE else None
+    free_block, runner_block = _blocks(tab, kind)
     moves = tab.moves
-    if ok_edge is not None:
-        moves = [[mv for mv in row if mv[1] & ok_edge] for row in moves]
     span = tab.span
     half = n // 2
     memo: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -267,10 +267,129 @@ def _walk(
                 continue
             walk(i + 1, left, used | ubit | jbit, edges | ebit, runners)
 
-    left = n - used.bit_count()  # unused points
-    if kind is MatchKind.PERFECT and left & 1:
+    if kind is MatchKind.PERFECT and n & 1:
         return  # each edge uses two points: an odd count never runs out
-    walk(0, left, used, edges, 0)
+    walk(0, n, 0, 0, 0)
+
+
+def _fold(
+    tab: _Tables,
+    kind: MatchKind,
+    used: int = 0,
+    edges: int = 0,
+    ok_edge: Optional[int] = None,
+) -> dict[tuple[int, int, int, int], int]:
+    """(edge count, forced runners, loose points, last point loose) -> number
+    of the skeletons of `kind` that complete the start state, by the edges
+    they add.  The start fixes the points `used` and the edges `edges`;
+    `ok_edge`, when given, masks the edges that may be added.  A skeleton
+    with b loose points stands for C(b, t) matchings with t of them runners.
+
+    The states and branches are `_walk`'s, and a state's completions depend
+    only on its key ``(i, edges & span[i])`` (see `_walk`; the fixed points,
+    edges and `ok_edge` are the same in every state of the call).  So the
+    completions of each key are folded once per call, bottom-up from its
+    children's, and kept in the call's memo: a later visit is one lookup.
+    A fold holds counts, never skeletons:
+
+    * a runner-free state's completions differ only in edge count, so its
+      fold is one int whose bits ``[e * width, (e + 1) * width)`` count the
+      completions with e edges.  An added edge shifts a child's fold by
+      `width`, and folds add field by field.  A completion is fixed by its
+      edges (a point left unmatched has one branch), so no count exceeds
+      the number of partial matchings of n points, and `width` bits hold it.
+      A ``PERFECT`` completion of a state has one shape, so its fold is the
+      bare count (width 0);
+    * a ``RHO_DOWN_FREE`` fold is a dict from (forced runners, loose points,
+      last point loose), packed with stride `s`, to such an int.
+    """
+    n = tab.n
+    free_block, runner_block = _blocks(tab, kind)
+    moves = tab.moves
+    if ok_edge is not None:
+        moves = [[mv for mv in row if mv[1] & ok_edge] for row in moves]
+    span = tab.span
+    memo: list[dict] = [{} for _ in range(n)]  # per next point: key edges -> fold
+    # t(m), the partial matchings of m points: t(m + 1) = t(m) + m t(m - 1)
+    t, t_below = 1, 1
+    for m in range(1, n):
+        t, t_below = t + m * t_below, t
+    width = 0 if kind is MatchKind.PERFECT else t.bit_length()
+    s = (n + 1).bit_length()
+    runner, loose, last = 1, 1 << s, n - 1
+    finished = {0: 1}  # the shapes of a finished state: one, adding nothing
+
+    def count(i: int, left: int, used: int, edges: int) -> int:
+        while (used >> i) & 1:
+            i += 1
+        if not left:
+            return 1
+        row = memo[i]
+        key = edges & span[i]
+        folded = row.get(key)
+        if folded is not None:
+            return folded
+        ubit = 1 << i
+        left -= 1
+        folded = 0
+        if free_block is not None and not (free_block[i] & edges):
+            folded = count(i + 1, left, used, edges)
+        left -= 1
+        for jbit, ebit, crossing in moves[i]:
+            if used & jbit or crossing & edges:
+                continue
+            folded += count(i + 1, left, used | ubit | jbit, edges | ebit) << width
+        row[key] = folded
+        return folded
+
+    def shape(i: int, left: int, used: int, edges: int) -> dict[int, int]:
+        while (used >> i) & 1:
+            i += 1
+        if not left:
+            return finished
+        row = memo[i]
+        key = edges & span[i]
+        folded = row.get(key)
+        if folded is not None:
+            return folded
+        ubit = 1 << i
+        left -= 1
+        folded = {}
+        if not (free_block[i] & edges):
+            if not (runner_block[i] & edges):
+                # no edge passes over the last point: unmatched, it is loose
+                mark = loose | (i == last) << 2 * s
+                folded = {k + mark: c for k, c in shape(i + 1, left, used, edges).items()}
+            else:
+                folded = shape(i + 1, left, used, edges).copy()
+        elif not (runner_block[i] & edges):
+            folded = {k + runner: c for k, c in shape(i + 1, left, used, edges).items()}
+        left -= 1
+        get = folded.get
+        for jbit, ebit, crossing in moves[i]:
+            if used & jbit or crossing & edges:
+                continue
+            for k, c in shape(i + 1, left, used | ubit | jbit, edges | ebit).items():
+                folded[k] = get(k, 0) + (c << width)
+        row[key] = folded
+        return folded
+
+    left = n - used.bit_count()  # unused points
+    if kind is MatchKind.PERFECT:
+        # each edge uses two points: an odd count never runs out
+        total = 0 if left & 1 else count(0, left, used, edges)
+        return {(left // 2, 0, 0, 0): total} if total else {}
+    top = {0: count(0, left, used, edges)} if runner_block is None else shape(0, left, used, edges)
+    low, field = (1 << s) - 1, (1 << width) - 1
+    shapes: dict[tuple[int, int, int, int], int] = {}
+    for k, folded in top.items():
+        e = 0
+        while folded:
+            if folded & field:
+                shapes[e, k & low, k >> s & low, k >> 2 * s] = folded & field
+            folded >>= width
+            e += 1
+    return shapes
 
 
 class _Decoded(dict):
@@ -290,37 +409,13 @@ class _Decoded(dict):
         return decoded
 
 
-def _skeletons(tab: _Tables, kind: MatchKind) -> dict[tuple[int, int, int, int], int]:
-    """(edge count, forced runners, loose points, last point loose) -> number
-    of skeletons, folded from a tally by edge count and runner mask.  One with
-    b loose points stands for C(b, t) matchings with t of them runners."""
-    tally: dict[tuple[int, int], int] = {}
-
-    def leaf(edges: int, runners: int, tail: Sequence) -> None:
-        count = edges.bit_count()
-        for e, r in tail:
-            key = (count + e.bit_count(), runners | r)
-            tally[key] = tally.get(key, 0) + 1
-
-    _walk(tab, kind, leaf)
-    # no edge passes over the rightmost point, so when unmatched it is loose:
-    # its bit n + (n - 1) is the top bit of a runner mask
-    n = tab.n
-    low, top = (1 << n) - 1, max(2 * n - 1, 0)
-    shapes: dict[tuple[int, int, int, int], int] = {}
-    for (e, mask), cnt in tally.items():
-        key = (e, (mask & low).bit_count(), (mask >> n).bit_count(), mask >> top)
-        shapes[key] = shapes.get(key, 0) + cnt
-    return shapes
-
-
 def census(ps: PointSet, kind: MatchKind, cap: Optional[int] = None) -> MatchingCensus:
     """Count all matchings of the requested kind, exactly."""
     _check_cap(ps, kind, cap)
     tab = _tables(ps)
     n = tab.n
     by_free_and_runners: dict[tuple[int, int], int] = {}
-    for (e, r, b, _), cnt in _skeletons(tab, kind).items():
+    for (e, r, b, _), cnt in _fold(tab, kind).items():
         for t in range(b + 1):
             key = (n - 2 * e - r - t, r + t)
             by_free_and_runners[key] = by_free_and_runners.get(key, 0) + comb(b, t) * cnt
@@ -352,7 +447,7 @@ def census_corner_split(
     _check_cap(ps, MatchKind.RHO_DOWN_FREE, cap)
     marked: dict[int, int] = {}
     unmarked: dict[int, int] = {}
-    for (_, r, b, last), cnt in _skeletons(_tables(ps), MatchKind.RHO_DOWN_FREE).items():
+    for (_, r, b, last), cnt in _fold(_tables(ps), MatchKind.RHO_DOWN_FREE).items():
         b -= last  # a loose last point is a runner or free, same count each
         for t in range(b + 1):
             ways = comb(b, t) * cnt
@@ -506,9 +601,7 @@ def count_perfect_extensions(
     if allowed is not None:
         norm = {(min(i, j), max(i, j)) for i, j in allowed}
         ok_edge = sum(1 << e for e, pair in enumerate(tab.pairs) if pair in norm)
-    sizes: list[int] = []  # of the tails handed to the leaf
-    _walk(tab, MatchKind.PERFECT, lambda e, r, tail: sizes.append(len(tail)), used0, edges0, ok_edge)
-    return sum(sizes)
+    return sum(_fold(tab, MatchKind.PERFECT, used0, edges0, ok_edge).values())
 
 
 def count_cross_completions(

@@ -152,6 +152,11 @@ class TestCoupledRecursion:
         assert with_mark == want_c
         assert without == want_f
 
+    @pytest.mark.parametrize("r,k", [(1, 15), (3, 5), (5, 3), (15, 1)])
+    def test_state_split_matches_oracle_at_sixteen_points(self, r, k):
+        # r*k + 1 = 16: past criterion 7, which stops at 14 points
+        assert census_corner_split(make_rchain(r, k, corners=True)) == coupled_series(r, k)[k]
+
     @pytest.mark.parametrize("r", [0, -1, -3])
     def test_arc_size_below_one_rejected(self, r):
         # with r = 0 no table is built, so kmax = 0 must not slip through

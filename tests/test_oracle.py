@@ -42,7 +42,7 @@ from ncmatch.oracle import (
     matchings,
 )
 from ncmatch import oracle
-from ncmatch.oracle import _tables, _walk
+from ncmatch.oracle import _fold, _tables, _walk
 
 from conftest import globalize, halves_maps
 
@@ -406,7 +406,7 @@ def test_extension_counter_respects_fixed_edges():
 @pytest.mark.parametrize("ps", [make_zigzag(12), make_rchain(3, 3, corners=True), double_zigzag(12).points],
                          ids=lambda ps: ps.label)
 def test_extension_counter_from_nothing_counts_perfect_matchings(ps):
-    # replayed tails count as many skeletons as they hold
+    # the fold from a start with nothing fixed is the census's
     assert count_perfect_extensions(ps, Matching(frozenset())) == census(ps, MatchKind.PERFECT).total > 1
 
 
@@ -501,9 +501,10 @@ class TestTinySets:
         assert census(one, MatchKind.RHO_DOWN_FREE).by_free_and_runners == {(1, 0): 1, (0, 1): 1}
 
 
-def _reference_walk(tab, kind, leaf, used=0, edges=0, ok_edge=None):
+def _reference_walk(tab, kind, leaf, used=0, edges=0, ok_edge=None, visit=None):
     """The oracle walk without its tail memo: each state's branches walked
-    afresh, in the same order."""
+    afresh, in the same order.  `visit`, when given, is called with the next
+    point and the edges of each state that has an unused point left."""
     n = tab.n
     free_block = tab.above if kind is MatchKind.UP_FREE else tab.below
     if kind is MatchKind.ALL:
@@ -521,6 +522,8 @@ def _reference_walk(tab, kind, leaf, used=0, edges=0, ok_edge=None):
         if i == n:
             leaf(edges, runners)
             return
+        if visit is not None:
+            visit(i, edges)
         ubit = 1 << i
         if free_block is not None and not (free_block[i] & edges):
             if runner_block is not None and not (runner_block[i] & edges):
@@ -537,17 +540,33 @@ def _reference_walk(tab, kind, leaf, used=0, edges=0, ok_edge=None):
     walk(0, used, edges, 0)
 
 
-def _leaf_calls(walk, ps, kind, **start):
+def _leaf_calls(walk, ps, kind):
     """The skeletons `walk` hands its leaf, in order, one (edges, runners)
     pair each: `_walk`'s tail calls are expanded, `_reference_walk` makes
     one call per skeleton."""
     calls = []
     if walk is _reference_walk:
-        walk(_tables(ps), kind, lambda edges, runners: calls.append((edges, runners)), **start)
+        walk(_tables(ps), kind, lambda edges, runners: calls.append((edges, runners)))
     else:
         walk(_tables(ps), kind, lambda edges, runners, tail: calls.extend(
-            (edges | e, runners | r) for e, r in tail), **start)
+            (edges | e, runners | r) for e, r in tail))
     return calls
+
+
+def _reference_shapes(tab, kind, **start):
+    """_fold(tab, kind, **start) from the plain walk, one skeleton at a time:
+    (edges added to the start, forced runners, loose points, last point
+    loose) -> skeletons."""
+    n = tab.n
+    low, top, fixed = (1 << n) - 1, max(2 * n - 1, 0), start.get("edges", 0)
+    tally = Counter()
+
+    def leaf(edges, runners):
+        shape = (edges ^ fixed).bit_count(), (runners & low).bit_count(), (runners >> n).bit_count(), runners >> top
+        tally[shape] += 1
+
+    _reference_walk(tab, kind, leaf, **start)
+    return dict(tally)
 
 
 def _fixed_start(tab, fixed, allowed=None):
@@ -618,7 +637,8 @@ def _assert_counts_match_reference(ps, kind):
 
 
 class TestTailMemo:
-    """The memoized walk calls its leaf exactly as the plain walk does."""
+    """The memoized walk calls its leaf exactly as the plain walk does, and
+    the counting fold tallies what the plain walk hands its leaf."""
 
     @pytest.mark.parametrize("parity", list(Parity))
     @pytest.mark.parametrize("n", range(1, 13))
@@ -640,7 +660,7 @@ class TestTailMemo:
     @pytest.mark.parametrize(
         "fixed,allowed",
         [
-            # fixed edges right of the first memoized points (6 and 7)
+            # fixed edges right of memoized states, the same in all of them
             ({(8, 11)}, None),
             ({(2, 3), (7, 11)}, None),
             ({(0, 11)}, None),
@@ -650,9 +670,9 @@ class TestTailMemo:
     )
     @pytest.mark.parametrize("kind", list(MatchKind))
     def test_fixed_starts(self, kind, fixed, allowed):
-        ps = make_zigzag(12)
-        start = _fixed_start(_tables(ps), fixed, allowed)
-        assert _leaf_calls(_walk, ps, kind, **start) == _leaf_calls(_reference_walk, ps, kind, **start)
+        tab = _tables(make_zigzag(12))
+        start = _fixed_start(tab, fixed, allowed)
+        assert _fold(tab, kind, **start) == _reference_shapes(tab, kind, **start)
 
     def test_cross_completion_starts(self):
         # the starts count_cross_completions makes: within-half matchings
@@ -668,9 +688,7 @@ class TestTailMemo:
                 fixed = globalize(mu, up_map).edges | globalize(ml, low_map).edges
                 start = _fixed_start(tab, fixed, allowed)
                 for kind in (MatchKind.PERFECT, MatchKind.ALL):
-                    assert _leaf_calls(_walk, d.points, kind, **start) == _leaf_calls(
-                        _reference_walk, d.points, kind, **start
-                    )
+                    assert _fold(tab, kind, **start) == _reference_shapes(tab, kind, **start)
 
     def test_tails_are_recorded_and_replayed(self, monkeypatch):
         # 561 tails recorded for 23,007 skeletons at the time of writing
@@ -730,7 +748,60 @@ class TestTailMemo:
             tab = copy.copy(_tables(make_zigzag(n)))
             tab.moves = Untouchable()
             _walk(tab, MatchKind.PERFECT, lambda edges, runners, tail: pytest.fail("leaf called"))
+            assert _fold(tab, MatchKind.PERFECT) == {}
         assert count_perfect_extensions(make_chain(7), Matching(frozenset({(0, 2)}))) == 0
+
+
+class _ReadRows(list):
+    """A table's rows that record the index of every row read."""
+
+    def __init__(self, rows, read):
+        super().__init__(rows)
+        self.read = read
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+class TestCountingFold:
+    """The fold behind every census: each state's key is folded once per
+    call, and the counts are those of the plain walk's skeletons."""
+
+    @pytest.mark.parametrize("ps", _FAMILY_SETS, ids=lambda ps: ps.label)
+    @pytest.mark.parametrize("kind", list(MatchKind))
+    def test_family_sets(self, kind, ps):
+        tab = _tables(ps)
+        assert _fold(tab, kind) == _reference_shapes(tab, kind)
+
+    def test_random_sets(self):
+        for ps in _random_sets():
+            tab = _tables(ps)
+            for kind in MatchKind:
+                assert _fold(tab, kind) == _reference_shapes(tab, kind), ps.points
+
+    def test_no_fold_outlives_its_call(self):
+        tab = _tables(make_zigzag(10))
+        want = {kind: _reference_shapes(tab, kind) for kind in MatchKind}
+        for kind in [*MatchKind, *reversed(MatchKind)]:
+            assert _fold(tab, kind) == want[kind]
+
+    @pytest.mark.parametrize(
+        "ps", [make_zigzag(12), make_rchain(3, 3, corners=True), double_zigzag(10).points], ids=lambda ps: ps.label
+    )
+    @pytest.mark.parametrize("kind", list(MatchKind))
+    def test_each_key_is_folded_once(self, kind, ps):
+        # a state's branch body reads its point's moves once; the plain walk
+        # reaches most keys many times
+        keys = set()
+        span = _tables(ps).span
+        _reference_walk(_tables(ps), kind, lambda edges, runners: None,
+                        visit=lambda i, edges: keys.add((i, edges & span[i])))
+        tab = copy.copy(_tables(ps))
+        read = []
+        tab.moves = _ReadRows(tab.moves, read)
+        _fold(tab, kind)
+        assert Counter(read) == Counter(i for i, _ in keys)
 
 
 class TestListedMatchings:

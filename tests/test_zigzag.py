@@ -89,6 +89,17 @@ def test_counts_match_oracle_all_four_kinds(k):
     assert census(make_zigzag(2 * k, Parity.ODD), MatchKind.DOWN_FREE).total == zz.c[k]
 
 
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("kind", ["down-free", "all"])
+def test_counts_match_oracle_past_the_acceptance_grid(kind, n):
+    # criterion 7 stops at 15 points
+    zz = zigzag_series(n // 2, kind)
+    mk = MatchKind.DOWN_FREE if kind == "down-free" else MatchKind.ALL
+    for parity in Parity:
+        want = zz.c[n // 2] if n % 2 == 0 else (zz.a if parity is Parity.EVEN else zz.b)[n // 2]
+        assert census(make_zigzag(n, parity), mk).total == want
+
+
 def test_series_is_the_two_chain_corner_recursion():
     """The zigzag is the 2-chain with corners: a, b and c read off the
     coupled states equal the leftmost-point case split, for both kinds."""
