@@ -26,6 +26,10 @@ is palindromic, so tau = 1 and the base is P(1) (``excursion_moments``).
 Replacing the arc tail C(r-i, floor((r-i)/2)) by a Catalan or Motzkin number
 counts perfect or arbitrary matchings, with the same column sums.  ``_tails``
 defines the tails of each kind once; ``corners`` and ``doubling`` read them.
+Since i C(r, i) = r C(r-1, i-1), each kind's column sum splits as
+a(r) + r a(r-1), with a the binomial transform of its tails.  A derived
+two-term recurrence gives a, so ``_growth_factors`` yields the factors for
+r = 1..limit in one linear pass.
 
 The left edge is data.  Row i's window stops at i + j, so entry (i, j) is
 the stabilized diagonal value at offset i - j minus the one at i + j + 2,
@@ -93,19 +97,61 @@ def growth_factor(r: int, kind: ArcKind = "down-free") -> int:
     return sum((i + 1) * arc_count(r, i, kind) for i in range(r + 1))
 
 
-def _growth_factors(limit: int, kind: ArcKind) -> list[int]:
-    """[growth_factor(r, kind) for r = 1..limit] in one pass.
+#: Per kind, (a(0), a(1)) and the linear coefficients (c, d), meaning c m + d,
+#: of p0, p1, p2 in p0(m) a(m) = p1(m) a(m-1) + p2(m) a(m-2): the recurrence of
+#: the binomial transform a(m) = sum_j C(m, j) tail(j) of the kind's tails.
+_TRANSFORM_RECURRENCES: dict[str, tuple[tuple[int, int], tuple[tuple[int, int], ...]]] = {
+    "down-free": ((1, 2), ((1, 1), (2, 2), (3, -3))),
+    "all": ((1, 2), ((1, 2), (4, 2), (0, 0))),
+    "perfect": ((1, 1), ((1, 2), (2, 1), (3, -3))),
+}
 
-    arc_count(r, i) = C(r, i) * tail(r - i), so each r needs only the next
-    Pascal row, built from the previous one, and the tails, read once.
+
+def _growth_factors(limit: int, kind: ArcKind) -> list[int]:
+    """[growth_factor(r, kind) for r = 1..limit] in one linear pass.
+
+    Split: i C(r, i) = r C(r-1, i-1) and C(r, i) = C(r, r-i) turn the sum
+    of ``growth_factor`` into growth_factor(r) = a(r) + r a(r-1), where
+    a(m) = sum_j C(m, j) tail(j) is the binomial transform of the tails,
+    A(x) = T(x/(1-x)) / (1-x) for their generating function T.  Each a
+    obeys a two-term recurrence with linear coefficients, derived, not
+    guessed (``_TRANSFORM_RECURRENCES``):
+
+    * down-free: T(y) = sum C(j, floor(j/2)) y^j = (sqrt((1+2y)/(1-2y)) - 1)/(2y),
+      from the central binomial GF 1/sqrt(1-4y^2) and its odd part, so
+      S(x) = 1 + 2x A(x) = sqrt((1+x)/(1-3x)).  Then S'/S = 2/((1+x)(1-3x)),
+      so (1 - 2x - 3x^2) S' = 2S.  Its coefficient of x^m, with s(m+1) =
+      2 a(m) the coefficients of S, gives (m+1) a(m) = 2(m+1) a(m-1) +
+      3(m-1) a(m-2), from a(0) = 1, a(1) = 2;
+    * all: T = 1 + yT + y^2 T^2 (Motzkin) and T(y) = (1-x) A turn into
+      A = (1 + xA)^2, the equation of (C(x) - 1)/x for the Catalan GF
+      C = 1 + xC^2.  So a(m) = Catalan(m+1) and (m+2) a(m) = (4m+2) a(m-1);
+    * perfect: T(y) = C(y^2), and C = 1 + y^2 C^2 turns into
+      A = 1 + xA + x^2 A^2, the Motzkin equation.  So a(m) = Motzkin(m),
+      by the recurrence ``_tails`` uses.
+
+    Every a(m) is an integer, so each division is exact; a remainder means a
+    wrong table entry and raises ArithmeticError.  ``growth_factor`` keeps
+    the O(r) definition, the independent route.
     """
-    tails = _tails(limit + 1, kind)
-    row = [1]
-    out = []
-    for r in range(1, limit + 1):
-        row = list(map(add, row + [0], [0] + row))
-        out.append(sum(map(mul, map(mul, range(1, r + 2), row), tails[r::-1])))
-    return out
+    a = _binomial_transforms(limit + 1, kind)
+    return [a[r] + r * a[r - 1] for r in range(1, limit + 1)]
+
+
+def _binomial_transforms(stop: int, kind: ArcKind) -> list[int]:
+    """[a(m) for m < stop], a(m) = sum_j C(m, j) tail(j), by the kind's
+    recurrence in ``_TRANSFORM_RECURRENCES`` (derived in ``_growth_factors``)."""
+    recurrence = _TRANSFORM_RECURRENCES.get(kind)
+    if recurrence is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    (a0, a1), ((c0, d0), (c1, d1), (c2, d2)) = recurrence
+    a = [a0, a1]
+    for m in range(2, stop):
+        value, rest = divmod((c1 * m + d1) * a[-1] + (c2 * m + d2) * a[-2], c0 * m + d0)
+        if rest:
+            raise ArithmeticError(f"{kind} transform recurrence is not integral at m = {m}")
+        a.append(value)
+    return a[:stop]
 
 
 @dataclass(frozen=True)
@@ -369,9 +415,13 @@ def _rate_cmp(r: int, s: int, lam_r: int, lam_s: int) -> int:
 def tail_bound_certificate() -> bool:
     """Certify 3 * (r+1)**(1/r) < 3.0838 at r = 191, with exact integers.
 
-    Together with growth_factor(r) <= (r+1) * 3**r and the monotone decrease
-    of (r+1)**(1/r), this caps the per-point rate of every r >= 191 below
-    3.0838, so the winner among r <= 190 is global once it beats that bound.
+    The down-free factors obey growth_factor(r) <= (r+1) * 3**r.  Proof: by
+    the split of ``_growth_factors``, growth_factor(r) = a(r) + r a(r-1)
+    with a(m) = sum_j C(m, j) C(j, floor(j/2)) <= sum_j C(m, j) 2^j = 3^m,
+    so growth_factor(r) <= 3^r + r 3^(r-1) = 3^(r-1) (r+3) <= (r+1) 3^r.
+    With the monotone decrease of (r+1)**(1/r), this caps the per-point
+    rate of every r >= 191 below 3.0838, so the winner among r <= 190 is
+    global once it beats that bound.
     """
     return 3**191 * 192 * 10 ** (4 * 191) < 30838**191
 

@@ -224,6 +224,8 @@ def _walk(tab: _Tables, kind: MatchKind, leaf: Callable[[int, int, Sequence], No
     one call.
     """
     n = tab.n
+    if kind is MatchKind.PERFECT and n & 1:
+        return  # each edge uses two points: an odd count never runs out
     free_block, runner_block = _blocks(tab, kind)
     moves = tab.moves
     span = tab.span
@@ -267,9 +269,12 @@ def _walk(tab: _Tables, kind: MatchKind, leaf: Callable[[int, int, Sequence], No
                 continue
             walk(i + 1, left, used | ubit | jbit, edges | ebit, runners)
 
-    if kind is MatchKind.PERFECT and n & 1:
-        return  # each edge uses two points: an odd count never runs out
-    walk(0, n, 0, 0, 0)
+    try:
+        walk(0, n, 0, 0, 0)
+    finally:
+        # `walk` calls itself through this cell, a cycle that would hold the
+        # memo and the leaf, with all it gathers, until a full collection
+        del walk
 
 
 def _fold(
@@ -375,11 +380,14 @@ def _fold(
         return folded
 
     left = n - used.bit_count()  # unused points
-    if kind is MatchKind.PERFECT:
-        # each edge uses two points: an odd count never runs out
-        total = 0 if left & 1 else count(0, left, used, edges)
-        return {(left // 2, 0, 0, 0): total} if total else {}
-    top = {0: count(0, left, used, edges)} if runner_block is None else shape(0, left, used, edges)
+    try:
+        if kind is MatchKind.PERFECT:
+            # each edge uses two points: an odd count never runs out
+            total = 0 if left & 1 else count(0, left, used, edges)
+            return {(left // 2, 0, 0, 0): total} if total else {}
+        top = {0: count(0, left, used, edges)} if runner_block is None else shape(0, left, used, edges)
+    finally:
+        del count, shape  # each calls itself through its cell: free the memo now
     low, field = (1 << s) - 1, (1 << width) - 1
     shapes: dict[tuple[int, int, int, int], int] = {}
     for k, folded in top.items():

@@ -8,9 +8,11 @@ from ncmatch import chains
 from ncmatch.chains import (
     BandMatrix,
     _banded_step,
+    _binomial_transforms,
     _growth_factors,
     _parity_windows,
     _runner_operator,
+    _tails,
     arc_count,
     best_arc_size,
     excursion_moments,
@@ -448,6 +450,43 @@ class TestBatchGrowthFactors:
         lams = [growth_factor(r, kind) for r in range(1, 191)]
         for limit in [*range(1, 61), 190]:
             assert best_arc_size(limit, kind) == _reference_best_arc_size(lams[:limit])
+
+    @pytest.mark.parametrize("kind", ["down-free", "perfect", "all"])
+    def test_recurrence_equals_binomial_transform(self, kind):
+        tails = _tails(301, kind)
+        transform = [sum(math.comb(m, j) * tails[j] for j in range(m + 1)) for m in range(301)]
+        assert _binomial_transforms(301, kind) == transform
+
+    @pytest.mark.parametrize("kind", ["down-free", "perfect", "all"])
+    def test_perturbed_recurrence_is_caught(self, kind, monkeypatch):
+        # every single coefficient moved by one breaks the comparison with
+        # the definition, as a wrong value or as a non-integral division
+        expected = [growth_factor(r, kind) for r in range(1, 41)]
+        starts, coefficients = chains._TRANSFORM_RECURRENCES[kind]
+        flat = [*starts, *(c for pair in coefficients for c in pair)]
+        for at in range(len(flat)):
+            moved = [c + (k == at) for k, c in enumerate(flat)]
+            table = (tuple(moved[:2]), tuple(zip(moved[2::2], moved[3::2])))
+            monkeypatch.setitem(chains._TRANSFORM_RECURRENCES, kind, table)
+            try:
+                assert _growth_factors(40, kind) != expected, at
+            except ArithmeticError:
+                pass
+
+    def test_non_integral_step_raises(self, monkeypatch):
+        # 2 a(m) = a(m-1) from a(1) = 1 halves 1 at m = 2
+        monkeypatch.setitem(chains._TRANSFORM_RECURRENCES, "all", ((1, 1), ((0, 2), (0, 1), (0, 0))))
+        with pytest.raises(ArithmeticError, match="not integral at m = 2"):
+            _growth_factors(5, "all")
+
+    @pytest.mark.parametrize("kind", ["down-free", "perfect"])
+    def test_tail_bound_inequality(self, kind):
+        # a(r) <= sum_j C(r, j) 2^j = 3^r, so growth_factor(r) <= 3^(r-1) (r+3)
+        # <= (r+1) 3^r, the bound tail_bound_certificate relies on
+        transforms = _binomial_transforms(301, kind)
+        for r in range(1, 301):
+            assert transforms[r] <= 3**r
+            assert growth_factor(r, kind) <= 3 ** (r - 1) * (r + 3) <= (r + 1) * 3**r
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kind"):

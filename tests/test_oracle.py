@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import inspect
 import pickle
 import random
@@ -848,3 +849,28 @@ class TestListedMatchings:
         # the bench tracer counts the items of a generator function as they
         # are yielded, and calls any other function once
         assert inspect.isgeneratorfunction(matchings)
+
+
+@pytest.mark.parametrize("kind", list(MatchKind))
+def test_calls_leave_no_garbage(kind):
+    # the walk and the fold recurse through closures; a closure that calls
+    # itself through its own cell is a cycle, which would hold the call's
+    # memo, and a listing's whole result, until the next full collection
+    sets = [make_zigzag(10), make_zigzag(11)]
+    double = double_zigzag(8)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for ps in sets:
+            census(ps, kind)
+            listed = list(matchings(ps, kind))
+            del listed
+            census_corner_split(ps)
+            fixed = Matching(frozenset({(0, len(ps) - 1)}))
+            count_perfect_extensions(ps, fixed, allowed={(i, i + 1) for i in range(len(ps))})
+        count_cross_completions(double, Matching(frozenset()))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
