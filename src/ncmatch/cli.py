@@ -191,8 +191,9 @@ def cmd_growth(args) -> int:
         if args.corners:
             if args.variant != "down-free":
                 raise CliError("--corners supports only the down-free variant")
-            sys_r = corners.extract_band(args.r)
-            m = corners.dominant_eigenvalue(sys_r.condensed)
+            if args.r < 1:
+                raise CliError("r must be positive")
+            m = corners.dominant_eigenvalue(corners._condensed_matrices(args.r)[-1])
             payload = {
                 "family": "rchain-corners",
                 "r": args.r,

@@ -57,7 +57,13 @@ For analysis the recursion is condensed: away from small indices it is a
 (response of an x-state at offset beta to a unit y-state).  Their sums (the
 condensed matrix) and total jump sizes sum_beta beta * bands[x][y][beta + r]
 feed the spectral machinery.  The per-point growth rate of the chain is the
-r-th root of the condensed matrix's dominant eigenvalue.
+r-th root of the condensed matrix's dominant eigenvalue.  The families are
+binomial rows times tails, so the condensed matrices of r = 1..limit are
+also closed forms in the binomial transform of the tails and its first two
+differences (``_condensed_matrices``), one linear pass that builds no band:
+``condensed_table``, ``growth --corners`` and ``zigzag.growth_constant``
+read it.  The certificates of ``spectral`` read the operator's own band sums,
+the second route, which the tests hold equal to the closed form.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ from math import comb
 from operator import add, mul, sub
 from typing import Literal, Sequence, get_args
 
-from .chains import ChainOperator, _light_cone, _parity_windows, _tails
+from .chains import ChainOperator, _binomial_transforms, _light_cone, _parity_windows, _tails
 from .quadfield import QuadNumber
 
 Kind = Literal["down-free", "all"]
@@ -266,7 +272,49 @@ def dominant_eigenvalue(condensed) -> QuadNumber:
     return QuadNumber(a + e, 1, 2, disc)
 
 
+def _condensed_matrices(limit: int, kind: Kind = "down-free") -> list[tuple[tuple[int, int], ...]]:
+    """[extract_band(r, kind=kind).condensed for r = 1..limit] in one linear
+    pass over the binomial transform a(m) = sum_j C(m, j) t(j) of the tails
+    t (``chains._binomial_transforms``), with no family, window or band built.
+
+    Take m = r - 1.  The families are Z[a] = C(m, a) t(m-a), W[a] = C(m, a)
+    t(m-a+1) and U[a] = C(m, a) t(m-a+2), with left_in = W - Z and both_in =
+    U - W.  In a band, family f[a] enters the parity window at the a + 1
+    offsets |beta| <= a with beta = a (mod 2), so the window sums to T(f) =
+    sum_a (a+1) f[a]; each shifted one-sided family adds S(f) = sum_a f[a].
+    By the band layout of ``extract_band``:
+
+        CC = T(left_in) + S(Z),   CF = T(Z),
+        FC = T(both_in) + S(W) + S(left_in),   FF = T(W) + S(Z).
+
+    The family sums of shift e are S_e(m) = sum_j C(m, j) t(j+e), the e-th
+    forward difference of a, since C(m+1, j) = C(m, j) + C(m, j-1).  And
+    a C(m, a) = m C(m-1, a-1) gives T_e(m) = S_e(m) + m S_e(m-1).  So
+
+        CC = T1 - T0 + S0,   CF = T0,   FC = T2 - T1 + 2 S1 - S0,   FF = T1 + S0,
+
+    and CF = a(m) + m a(m-1) = growth_factor(r - 1) is the split of
+    ``chains._growth_factors``.  Every step is an exact integer operation.
+    The band sums of ``extract_band`` (``ChainOperator.condensed``) stay the
+    second route, which the tests compare this one against.
+    """
+    if limit < 1:
+        raise ValueError("limit must be positive")
+    if kind not in get_args(Kind):
+        raise ValueError(f"unknown kind {kind!r}")
+    s0 = _binomial_transforms(limit + 2, kind)
+    s1 = list(map(sub, s0[1:], s0))
+    s2 = list(map(sub, s1[1:], s1))
+    t0, t1, t2 = ([s + m * p for m, (p, s) in enumerate(zip((0, *d), d[:limit]))] for d in (s0, s1, s2))
+    return [
+        ((t1[m] - t0[m] + s0[m], t0[m]), (t2[m] - t1[m] + 2 * s1[m] - s0[m], t1[m] + s0[m]))
+        for m in range(limit)
+    ]
+
+
 def condensed_table(rmax: int) -> list[tuple[int, tuple, float]]:
-    """(r, condensed matrix, per-point growth rate) for r = 1..rmax."""
-    rows = [(r, extract_band(r).condensed) for r in range(1, rmax + 1)]
+    """(r, condensed matrix, per-point growth rate) for r = 1..rmax, the
+    matrices from ``_condensed_matrices``.  The rate float is a display
+    value: it decides nothing."""
+    rows = enumerate(_condensed_matrices(rmax), 1) if rmax >= 1 else ()
     return [(r, cond, dominant_eigenvalue(cond).root_float(r)) for r, cond in rows]

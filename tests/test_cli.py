@@ -412,6 +412,13 @@ def test_recurse_rchain_arc_size_below_one_is_usage_error(capsys, r, kmax):
     assert "r must be positive" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--corners"]])
+@pytest.mark.parametrize("r", ["0", "-2"])
+def test_growth_arc_size_below_one_is_usage_error(capsys, r, extra):
+    code, out, err = run(capsys, "growth", "--r", r, *extra)
+    assert (code, out, err) == (2, "", "ncmatch: r must be positive\n")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("extra", [[], ["--corners"]])
 @pytest.mark.parametrize("max_r", ["0", "-3"])

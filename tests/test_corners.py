@@ -5,6 +5,7 @@ import pytest
 
 from ncmatch.chains import ChainOperator, runner_counts, runner_series
 from ncmatch.corners import (
+    _condensed_matrices,
     _coupled_cone,
     _coupled_operator,
     _exact_rows,
@@ -558,3 +559,63 @@ class TestCondensedTable:
     def test_single_arc_eigenvalue_is_three(self):
         m = dominant_eigenvalue(CONDENSED_FIXTURES[1])
         assert as_fraction(m) == 3
+
+
+class TestClosedFormCondensed:
+    """``_condensed_matrices`` against the band sums of the operator and the
+    probe route, the definition."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_band_sums(self, kind):
+        expected = [extract_band(r, kind=kind).condensed for r in range(1, 301)]
+        assert _condensed_matrices(300, kind) == expected
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_probe_route(self, kind):
+        expected = [extract_band(r, probe=2 * r + 5, kind=kind).condensed for r in range(1, 41)]
+        assert _condensed_matrices(40, kind) == expected
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_perturbed_recurrence_is_caught(self, kind, monkeypatch):
+        # every single coefficient of the transform recurrence moved by one
+        # breaks the comparison, as a wrong value or a non-integral division
+        from ncmatch import chains
+
+        expected = [extract_band(r, kind=kind).condensed for r in range(1, 41)]
+        starts, coefficients = chains._TRANSFORM_RECURRENCES[kind]
+        flat = [*starts, *(c for pair in coefficients for c in pair)]
+        for at in range(len(flat)):
+            moved = [c + (k == at) for k, c in enumerate(flat)]
+            table = (tuple(moved[:2]), tuple(zip(moved[2::2], moved[3::2])))
+            monkeypatch.setitem(chains._TRANSFORM_RECURRENCES, kind, table)
+            try:
+                assert _condensed_matrices(40, kind) != expected, at
+            except ArithmeticError:
+                pass
+
+    @pytest.mark.parametrize("limit", [0, -1, -7])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="limit must be positive"):
+            _condensed_matrices(limit)
+
+    @pytest.mark.parametrize("kind", ["perfect", "bogus"])
+    def test_other_kinds_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown kind"):
+            _condensed_matrices(5, kind)
+
+    def test_consumers_build_no_band(self, monkeypatch, capsys):
+        from ncmatch import corners
+        from ncmatch.cli import main
+        from ncmatch.zigzag import growth_constant
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a band was built")
+
+        monkeypatch.setattr(corners, "extract_band", refuse)
+        monkeypatch.setattr(corners, "_head_tables", refuse)
+        assert [cond for _, cond, _ in condensed_table(8)] == [CONDENSED_FIXTURES[r] for r in range(1, 9)]
+        for kind in KINDS:
+            growth_constant(kind)
+        assert main(["growth", "--r", "8", "--corners"]) == 0
+        assert main(["table", "--max-r", "20", "--corners"]) == 0
+        capsys.readouterr()

@@ -203,6 +203,10 @@ class TestGrowth:
         target = growth_constant()[0].to_float()
         assert abs(ratio - target) / target < 0.01
 
+    @pytest.mark.parametrize("kind, stored", [("down-free", (9, 1, 2, 93)), ("all", (9, 1, 2, 105))])
+    def test_stored_tuple(self, kind, stored):
+        assert growth_constant(kind)[0].as_tuple() == stored
+
     def test_all_matchings_exact_value(self):
         exact, base = growth_constant("all")
         assert exact == QuadNumber(9, 1, 2, 105)
