@@ -4,8 +4,11 @@ Subcommands: gen, count, recurse, growth, table, double-pm, subeig, verify.
 Big integers are printed as decimal strings and floats with a fixed number
 of decimals, so every emitted table is byte-stable across runs.
 
-``main`` may be called many times in one process (a batch of jobs): the
-argument parser is built on the first call, not at import, and reused.
+``main`` may be called many times in one process (a batch of jobs), and
+importing the module builds no parser.  Each subcommand's parser is built on
+its first use and reused; the whole subcommand tree is built only for help
+and usage errors: no command, an unknown one, top-level help and
+unrecognized arguments.  One table, ``_COMMANDS``, feeds both.
 """
 
 from __future__ import annotations
@@ -193,7 +196,7 @@ def cmd_growth(args) -> int:
                 raise CliError("--corners supports only the down-free variant")
             if args.r < 1:
                 raise CliError("r must be positive")
-            m = corners.dominant_eigenvalue(corners._condensed_matrices(args.r)[-1])
+            m = corners.dominant_eigenvalue(corners._condensed_matrix(args.r))
             payload = {
                 "family": "rchain-corners",
                 "r": args.r,
@@ -370,76 +373,104 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each command's help line and its arguments but --out, which every command
+# takes.  Both parsers below are built from this one table.
+_COMMANDS = {
+    "gen": ("emit a point-set JSON file", (
+        ("--family", {"required": True,
+                      "choices": ["chain", "zigzag", "rchain", "double-chain", "double-zigzag"]}),
+        # --n, --parity and --direction default per family (5, even, downward)
+        ("--n", {"type": int}),
+        ("--r", {"type": int}),
+        ("--k", {"type": int}),
+        ("--parity", {"choices": ["even", "odd"]}),
+        ("--direction", {"choices": ["downward", "upward"]}),
+        ("--corners", {"action": "store_true"}),
+    )),
+    "count": ("oracle census of a point-set JSON file", (
+        ("--input", {"required": True}),
+        ("--kind", {"default": "down-free", "choices": [k.value for k in MatchKind]}),
+        ("--cap", {"type": int}),
+    )),
+    "recurse": ("recursion tables", (
+        ("--family", {"required": True, "choices": ["zigzag", "rchain"]}),
+        ("--kmax", {"type": int, "default": 10}),
+        ("--r", {"type": int}),
+        ("--corners", {"action": "store_true"}),
+        ("--variant", {"choices": ["down-free", "all"], "default": "down-free"}),
+        ("--format", {"choices": ["csv", "json"], "default": "csv"}),
+    )),
+    "growth": ("exact and float growth constants", (
+        ("--family", {"default": "rchain", "choices": ["zigzag", "rchain"]}),
+        ("--r", {"type": int}),
+        ("--corners", {"action": "store_true"}),
+        ("--variant", {"choices": ["down-free", "perfect", "all"], "default": "down-free"}),
+    )),
+    "table": ("growth summary table", (
+        ("--max-r", {"type": int, "default": 20}),
+        ("--corners", {"action": "store_true"}),
+        ("--format", {"choices": ["csv", "json"], "default": "csv"}),
+    )),
+    "double-pm": ("perfect matchings of a double construction", (
+        ("--construction", {"default": "dc", "choices": ["dc"]}),
+        ("--n", {"type": int, "required": True}),
+    )),
+    "subeig": ("build and verify a growth certificate", (
+        ("--r", {"type": int, "required": True}),
+        ("--epsilon", {"default": "1/10",
+                       "help": "rational in (0, M) like 1/100, M the eigenvalue"}),
+    )),
+    "verify": ("oracle-vs-recursion report over a size grid", (
+        ("--family", {"required": True, "choices": ["zigzag", "rchain", "rchain-corners", "double"]}),
+        ("--max-points", {"type": int, "default": 10}),
+    )),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for flag, options in _COMMANDS[command][1]:
+        p.add_argument(flag, **options)
+    p.add_argument("--out")
+    p.set_defaults(command=command)
+    return p
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument tree, built on the first call and reused by every later one."""
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, or with no command the whole tree, each
+    built on its first call and reused by every later one.
+
+    A command's own parser is the tree's subparser of that command, flat:
+    same prog, arguments and help, so it gives the same namespace and the
+    same help and error bytes.  Only an unrecognized argument reads
+    differently (the tree reports it at the top level), so ``main`` hands
+    that case to the tree.
+    """
+    if command is not None:
+        return _add_arguments(argparse.ArgumentParser(prog=f"ncmatch {command}"), command)
     top = argparse.ArgumentParser(
         prog="ncmatch",
         description="exact matching counts and growth rates for chain constructions",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="emit a point-set JSON file")
-    p.add_argument("--family", required=True,
-                   choices=["chain", "zigzag", "rchain", "double-chain", "double-zigzag"])
-    # --n, --parity and --direction default per family (5, even, downward)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--parity", choices=["even", "odd"])
-    p.add_argument("--direction", choices=["downward", "upward"])
-    p.add_argument("--corners", action="store_true")
-    p.add_argument("--out")
-
-    p = sub.add_parser("count", help="oracle census of a point-set JSON file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--kind", default="down-free",
-                   choices=[k.value for k in MatchKind])
-    p.add_argument("--cap", type=int)
-    p.add_argument("--out")
-
-    p = sub.add_parser("recurse", help="recursion tables")
-    p.add_argument("--family", required=True, choices=["zigzag", "rchain"])
-    p.add_argument("--kmax", type=int, default=10)
-    p.add_argument("--r", type=int)
-    p.add_argument("--corners", action="store_true")
-    p.add_argument("--variant", choices=["down-free", "all"], default="down-free")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out")
-
-    p = sub.add_parser("growth", help="exact and float growth constants")
-    p.add_argument("--family", default="rchain", choices=["zigzag", "rchain"])
-    p.add_argument("--r", type=int)
-    p.add_argument("--corners", action="store_true")
-    p.add_argument("--variant", choices=["down-free", "perfect", "all"], default="down-free")
-    p.add_argument("--out")
-
-    p = sub.add_parser("table", help="growth summary table")
-    p.add_argument("--max-r", type=int, default=20)
-    p.add_argument("--corners", action="store_true")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out")
-
-    p = sub.add_parser("double-pm", help="perfect matchings of a double construction")
-    p.add_argument("--construction", default="dc", choices=["dc"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-
-    p = sub.add_parser("subeig", help="build and verify a growth certificate")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--epsilon", default="1/10", help="rational in (0, M) like 1/100, M the eigenvalue")
-    p.add_argument("--out")
-
-    p = sub.add_parser("verify", help="oracle-vs-recursion report over a size grid")
-    p.add_argument("--family", required=True,
-                   choices=["zigzag", "rchain", "rchain-corners", "double"])
-    p.add_argument("--max-points", type=int, default=10)
-    p.add_argument("--out")
+    for name, (help_line, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
     return top
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The tree's namespace for argv, from the named command's parser alone
+    when it accepts every argument; help, a missing or unknown command and
+    unrecognized arguments go to the tree."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     # looked up per call, so a cmd_* replaced after the first build is the one run
     func = globals()["cmd_" + args.command.replace("-", "_")]
     try:

@@ -60,9 +60,11 @@ feed the spectral machinery.  The per-point growth rate of the chain is the
 r-th root of the condensed matrix's dominant eigenvalue.  The families are
 binomial rows times tails, so the condensed matrices of r = 1..limit are
 also closed forms in the binomial transform of the tails and its first two
-differences (``_condensed_matrices``), one linear pass that builds no band:
-``condensed_table``, ``growth --corners`` and ``zigzag.growth_constant``
-read it.  The certificates of ``spectral`` read the operator's own band sums,
+differences (``_condensed_matrices``), one linear pass that builds no band,
+which ``condensed_table`` reads.  One matrix reads four terms of the
+transform by the same formula (``_condensed_matrix``): ``growth --corners``
+and ``zigzag.growth_constant`` read that one, not the matrices of every
+smaller r.  The certificates of ``spectral`` read the operator's own band sums,
 the second route, which the tests hold equal to the closed form.
 """
 
@@ -294,22 +296,43 @@ def _condensed_matrices(limit: int, kind: Kind = "down-free") -> list[tuple[tupl
         CC = T1 - T0 + S0,   CF = T0,   FC = T2 - T1 + 2 S1 - S0,   FF = T1 + S0,
 
     and CF = a(m) + m a(m-1) = growth_factor(r - 1) is the split of
-    ``chains._growth_factors``.  Every step is an exact integer operation.
-    The band sums of ``extract_band`` (``ChainOperator.condensed``) stay the
-    second route, which the tests compare this one against.
+    ``chains._growth_factors``.  Each matrix reads a(m-1..m+2) alone
+    (``_condensed_at``), so ``_condensed_matrix`` gives one r by the same
+    formula.  Every step is an exact integer operation.  The band sums of
+    ``extract_band`` (``ChainOperator.condensed``) stay the second route,
+    which the tests compare this one against.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
+    a = _corner_transforms(limit + 2, kind)
+    return [_condensed_at(a, m) for m in range(limit)]
+
+
+def _condensed_matrix(r: int, kind: Kind = "down-free") -> tuple[tuple[int, int], ...]:
+    """extract_band(r, kind=kind).condensed, the last of
+    ``_condensed_matrices(r, kind)``, from a(0..r+1) alone."""
+    if r < 1:
+        raise ValueError("r must be positive")
+    return _condensed_at(_corner_transforms(r + 2, kind), r - 1)
+
+
+def _corner_transforms(stop: int, kind: Kind) -> list[int]:
+    """a(m) for m < stop; perfect tails are refused, as by corner_coefficients."""
     if kind not in get_args(Kind):
         raise ValueError(f"unknown kind {kind!r}")
-    s0 = _binomial_transforms(limit + 2, kind)
-    s1 = list(map(sub, s0[1:], s0))
-    s2 = list(map(sub, s1[1:], s1))
-    t0, t1, t2 = ([s + m * p for m, (p, s) in enumerate(zip((0, *d), d[:limit]))] for d in (s0, s1, s2))
-    return [
-        ((t1[m] - t0[m] + s0[m], t0[m]), (t2[m] - t1[m] + 2 * s1[m] - s0[m], t1[m] + s0[m]))
-        for m in range(limit)
-    ]
+    return _binomial_transforms(stop, kind)
+
+
+def _condensed_at(a: Sequence[int], m: int) -> tuple[tuple[int, int], ...]:
+    """The condensed matrix of r = m + 1 from a(m-1..m+2): S_e(m) and
+    S_e(m-1) are differences of these, and S_e(m-1) only enters times m."""
+    prev = a[m - 1] if m else 0
+    s0, n1, n2 = a[m : m + 3]
+    s1, s2 = n1 - s0, n2 - 2 * n1 + s0
+    t0 = s0 + m * prev
+    t1 = s1 + m * (s0 - prev)
+    t2 = s2 + m * (n1 - 2 * s0 + prev)
+    return ((t1 - t0 + s0, t0), (t2 - t1 + 2 * s1 - s0, t1 + s0))
 
 
 def condensed_table(rmax: int) -> list[tuple[int, tuple, float]]:

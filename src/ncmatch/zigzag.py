@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .corners import Kind, _condensed_matrices, _coupled_cone, dominant_eigenvalue
+from .corners import Kind, _condensed_matrix, _coupled_cone, dominant_eigenvalue
 from .quadfield import QuadNumber
 
 
@@ -106,5 +106,5 @@ def growth_constant(kind: Kind = "down-free") -> tuple[QuadNumber, float]:
     """Exact growth rate of c (per index) and the per-point base: the 2-chain
     with corners' dominant eigenvalue, ((9 + sqrt(93))/2, ~3.0532) for
     down-free matchings and ((9 + sqrt(105))/2, ~3.1022) for all."""
-    rate = dominant_eigenvalue(_condensed_matrices(2, kind)[1])
+    rate = dominant_eigenvalue(_condensed_matrix(2, kind))
     return rate, rate.root_float(2)

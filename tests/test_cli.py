@@ -538,10 +538,8 @@ def test_parser_is_built_once():
     assert cli._parser() is cli._parser()
 
 
-def _run_every_subcommand(capsys, pts, fresh_parser: bool) -> list:
-    import ncmatch.cli as cli
-
-    runs = [
+def _every_subcommand(pts) -> list:
+    return [
         ["gen", "--family", "zigzag", "--n", "7"],
         ["gen", "--family", "rchain", "--r", "2", "--k", "2", "--n", "4"],
         ["count", "--input", str(pts), "--kind", "all"],
@@ -556,8 +554,13 @@ def _run_every_subcommand(capsys, pts, fresh_parser: bool) -> list:
         ["subeig", "--r", "2", "--epsilon", "1/10"],
         ["verify", "--family", "rchain", "--max-points", "5"],
     ]
+
+
+def _run_every_subcommand(capsys, pts, fresh_parser: bool) -> list:
+    import ncmatch.cli as cli
+
     seen = []
-    for argv in runs:
+    for argv in _every_subcommand(pts):
         if fresh_parser:
             cli._parser.cache_clear()
         try:
@@ -599,6 +602,101 @@ def test_import_builds_no_parser():
     done = subprocess.run([sys.executable, "-B", "-c", probe], capture_output=True, text=True,
                           env={"PYTHONPATH": src}, check=True)
     assert done.stdout == "0\n"
+
+
+def test_command_parser_gives_the_namespace_of_the_tree(tmp_path):
+    import ncmatch.cli as cli
+
+    for argv in _every_subcommand(tmp_path / "pts.json"):
+        if argv == ["table", "--bogus"]:
+            continue
+        tree = cli._parser().parse_args(argv)
+        assert vars(cli._parser(argv[0]).parse_args(argv[1:])) == vars(tree), argv
+        assert vars(cli._parse(argv)) == vars(tree), argv
+
+
+# help, usage errors and a few accepted spellings: each is read by the
+# command's own parser, by the tree, or by the first and then the tree
+_HELP_AND_USAGE_ARGV = [
+    [], ["-h"], ["--help"], ["-h", "growth"], ["bogus"], ["bogus", "--r", "3"],
+    ["--", "growth", "--r", "3"], ["growth", "-h"], ["growth", "--he"], ["subeig", "-h"],
+    ["count", "--help"], ["growth", "--bogus", "-h"], ["growth", "--r", "x"], ["growth", "--r"],
+    ["growth", "--family", "nope"], ["growth", "--r", "3", "extra"], ["growth", "--", "--r", "3"],
+    ["growth", "--r=4", "--corners"], ["table", "--bogus"], ["table", "--max", "5"],
+    ["table", "--max-r", "5", "--bogus", "--format", "json"], ["gen"], ["gen", "--bogus"],
+    ["double-pm", "--n", "x", "--bogus"], ["verify", "--family"],
+]
+
+
+def _outcome(capsys, argv) -> tuple:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", _HELP_AND_USAGE_ARGV, ids=" ".join)
+def test_help_and_usage_errors_give_the_bytes_of_the_tree(monkeypatch, capsys, argv):
+    import ncmatch.cli as cli
+
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+    assert got == _outcome(capsys, argv)
+    assert got[1] or got[2]
+
+
+_PARSERS_BUILT = """
+import contextlib, io, sys
+import ncmatch.cli as cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+before = cli._parser.cache_info().currsize
+cli._parser()  # the tree: a cache hit only if main built it
+print(before, cli._parser.cache_info().currsize)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,sizes",
+    [(["growth", "--r", "3", "--corners"], "1 2"),  # the growth parser alone
+     (["table", "--bogus"], "2 2")],  # the table parser and the tree
+    ids=["growth", "table-bogus"],
+)
+def test_only_the_named_command_parser_is_built(argv, sizes):
+    done = _python("-c", _PARSERS_BUILT, *argv)
+    assert (done.returncode, done.stdout) == (0, sizes + "\n")
+
+
+def _python(*args):
+    """A fresh interpreter on this checkout's ncmatch, without bytecode."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ncmatch
+
+    src = str(Path(ncmatch.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-B", *args], capture_output=True, text=True,
+                          env={"PYTHONPATH": src})
+
+
+def test_script_reads_its_own_argv():
+    done = _python("-m", "ncmatch.cli", "growth", "--r", "3", "--corners")
+    assert (done.returncode, done.stderr) == (0, "")
+    digest = "68676fc4cd74b7eb90afaad59b14ba59d1236c705212a0f289aae496b5b6be4e"
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
+
+
+def test_script_help_exits_zero():
+    done = _python("-m", "ncmatch.cli", "-h")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: ncmatch [-h]")
+    assert "exact matching counts and growth rates" in done.stdout
 
 
 @pytest.mark.parametrize(

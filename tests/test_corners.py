@@ -1,3 +1,4 @@
+import json
 import random
 from math import comb
 
@@ -6,6 +7,7 @@ import pytest
 from ncmatch.chains import ChainOperator, runner_counts, runner_series
 from ncmatch.corners import (
     _condensed_matrices,
+    _condensed_matrix,
     _coupled_cone,
     _coupled_operator,
     _exact_rows,
@@ -562,13 +564,19 @@ class TestCondensedTable:
 
 
 class TestClosedFormCondensed:
-    """``_condensed_matrices`` against the band sums of the operator and the
-    probe route, the definition."""
+    """``_condensed_matrices`` and ``_condensed_matrix`` against the band sums
+    of the operator and the probe route, the definition."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_equals_band_sums(self, kind):
         expected = [extract_band(r, kind=kind).condensed for r in range(1, 301)]
         assert _condensed_matrices(300, kind) == expected
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_matrix_equals_the_list_and_the_band_sums(self, kind):
+        matrices = _condensed_matrices(300, kind)
+        for r in range(1, 301):
+            assert _condensed_matrix(r, kind) == matrices[r - 1] == extract_band(r, kind=kind).condensed, r
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_equals_probe_route(self, kind):
@@ -592,16 +600,35 @@ class TestClosedFormCondensed:
                 assert _condensed_matrices(40, kind) != expected, at
             except ArithmeticError:
                 pass
+            try:
+                assert [_condensed_matrix(r, kind) for r in range(1, 41)] != expected, at
+            except ArithmeticError:
+                pass
 
     @pytest.mark.parametrize("limit", [0, -1, -7])
     def test_limit_below_one_rejected(self, limit):
         with pytest.raises(ValueError, match="limit must be positive"):
             _condensed_matrices(limit)
 
+    @pytest.mark.parametrize("r", [0, -1, -7])
+    def test_single_matrix_r_below_one_rejected(self, r):
+        with pytest.raises(ValueError, match="r must be positive"):
+            _condensed_matrix(r)
+
     @pytest.mark.parametrize("kind", ["perfect", "bogus"])
     def test_other_kinds_rejected(self, kind):
         with pytest.raises(ValueError, match="unknown kind"):
             _condensed_matrices(5, kind)
+        with pytest.raises(ValueError, match="unknown kind"):
+            _condensed_matrix(5, kind)
+
+    def test_growth_reads_one_matrix(self, monkeypatch, capsys):
+        from ncmatch import corners
+        from ncmatch.cli import main
+
+        monkeypatch.setattr(corners, "_condensed_matrices", lambda *a: pytest.fail("every smaller r built"))
+        assert main(["growth", "--r", "8", "--corners"]) == 0
+        assert json.loads(capsys.readouterr().out)["base_per_point"] == "3.093005695"
 
     def test_consumers_build_no_band(self, monkeypatch, capsys):
         from ncmatch import corners
